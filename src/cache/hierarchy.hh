@@ -22,12 +22,13 @@
 #ifndef PEISIM_CACHE_HIERARCHY_HH
 #define PEISIM_CACHE_HIERARCHY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/backend.hh"
@@ -178,10 +179,56 @@ class CacheHierarchy
         {}
     };
 
-    /** Outstanding-miss bookkeeping for one block. */
-    struct Mshr
+    /**
+     * A fixed file of MSHRs with tag match, shaped like the hardware:
+     * `entries` slots sized by the config, one per outstanding missed
+     * block, each holding the callbacks coalesced onto that miss.
+     */
+    class MshrFile
     {
-        std::vector<Callback> waiters;
+      public:
+        explicit MshrFile(unsigned entries)
+            : tags(entries, free_tag), waiters(entries)
+        {}
+
+        /** Waiters of the slot tracking @p block; nullptr if none. */
+        std::vector<Callback> *
+        find(Addr block)
+        {
+            const auto it = std::find(tags.begin(), tags.end(), block);
+            return it == tags.end() ? nullptr : &waiters[it - tags.begin()];
+        }
+
+        /** True if every slot tracks a miss. */
+        bool full() const { return used == tags.size(); }
+
+        /** Claim a free slot for @p block (the file must not be full). */
+        void
+        claim(Addr block)
+        {
+            *std::find(tags.begin(), tags.end(), free_tag) = block;
+            ++used;
+        }
+
+        /** Free @p block's slot and hand back its waiters. */
+        std::vector<Callback>
+        release(Addr block)
+        {
+            const auto it = std::find(tags.begin(), tags.end(), block);
+            panic_if(it == tags.end(), "MSHR vanished for block 0x%llx",
+                     static_cast<unsigned long long>(block));
+            *it = free_tag;
+            --used;
+            return std::move(waiters[it - tags.begin()]);
+        }
+
+      private:
+        /** Tag of a free slot; no paddr >> block_shift reaches it. */
+        static constexpr Addr free_tag = ~Addr{0};
+
+        std::vector<Addr> tags;                     ///< slot -> block
+        std::vector<std::vector<Callback>> waiters; ///< slot -> waiters
+        std::size_t used = 0;                       ///< claimed slots
     };
 
     /**
@@ -255,11 +302,11 @@ class CacheHierarchy
     std::vector<PrivateCaches> privs;
     CacheArray l3;
 
-    /** Per-core MSHRs: block -> waiters (includes the L1/L2 level). */
-    std::vector<std::unordered_map<Addr, Mshr>> core_mshrs;
+    /** Per-core MSHRs (cover the L1/L2 miss path). */
+    std::vector<MshrFile> core_mshrs;
 
-    /** L3 MSHRs: block -> waiters for in-flight DRAM fetches. */
-    std::unordered_map<Addr, Mshr> l3_mshrs;
+    /** L3 MSHRs: in-flight DRAM fetches. */
+    MshrFile l3_mshrs;
 
     /** Requests stalled on core-MSHR exhaustion, per core. */
     std::vector<std::deque<Callback>> core_stalled;

@@ -15,18 +15,19 @@ VirtualMemory::alloc(std::uint64_t bytes, std::uint64_t align)
     next_vaddr += bytes;
 
     // Map every page in [base, base + bytes).
-    const Addr first_vpn = vpn(base);
-    const Addr last_vpn = vpn(base + bytes - 1);
-    for (Addr p = first_vpn; p <= last_vpn; ++p) {
-        if (page_table.count(p))
+    const Addr first = vpn(base) - base_vpn;
+    const Addr last = vpn(base + bytes - 1) - base_vpn;
+    if (last >= page_table.size())
+        page_table.resize(last + 1, unmapped);
+    for (Addr p = first; p <= last; ++p) {
+        if (page_table[p] != unmapped)
             continue;
-        fatal_if((next_frame + 1) * page_size > phys_limit,
+        fatal_if((frames.size() + 1) * page_size > phys_limit,
                  "out of simulated physical memory (%llu bytes)",
                  static_cast<unsigned long long>(phys_limit));
-        page_table.emplace(p, next_frame);
+        page_table[p] = frames.size();
         frames.push_back(Frame{std::make_unique<std::byte[]>(page_size)});
         std::memset(frames.back().data.get(), 0, page_size);
-        ++next_frame;
     }
     return base;
 }
@@ -34,21 +35,13 @@ VirtualMemory::alloc(std::uint64_t bytes, std::uint64_t align)
 Addr
 VirtualMemory::translate(Addr vaddr) const
 {
-    auto it = page_table.find(vpn(vaddr));
-    fatal_if(it == page_table.end(),
-             "access to unmapped virtual address 0x%llx",
-             static_cast<unsigned long long>(vaddr));
-    return (it->second << page_shift) | (vaddr & (page_size - 1));
+    return (pfnOf(vaddr) << page_shift) | (vaddr & (page_size - 1));
 }
 
 const std::byte *
 VirtualMemory::framePtr(Addr vaddr) const
 {
-    auto it = page_table.find(vpn(vaddr));
-    fatal_if(it == page_table.end(),
-             "access to unmapped virtual address 0x%llx",
-             static_cast<unsigned long long>(vaddr));
-    return frames[it->second].data.get() + (vaddr & (page_size - 1));
+    return frames[pfnOf(vaddr)].data.get() + (vaddr & (page_size - 1));
 }
 
 void *
@@ -96,20 +89,17 @@ Tlb::access(Addr vaddr)
 {
     const Addr page = VirtualMemory::vpn(vaddr);
     ++tick;
-    auto it = lru.find(page);
-    if (it != lru.end()) {
-        it->second = tick;
+    if (const auto it = std::find(vpns.begin(), vpns.end(), page);
+        it != vpns.end()) {
+        stamps[it - vpns.begin()] = tick;
         ++hit_count;
         return 0;
     }
     ++miss_count;
-    if (lru.size() >= capacity) {
-        auto victim = std::min_element(
-            lru.begin(), lru.end(),
-            [](const auto &a, const auto &b) { return a.second < b.second; });
-        lru.erase(victim);
-    }
-    lru.emplace(page, tick);
+    const std::size_t victim =
+        std::min_element(stamps.begin(), stamps.end()) - stamps.begin();
+    vpns[victim] = page;
+    stamps[victim] = tick;
     return walk_latency;
 }
 

@@ -15,7 +15,6 @@
 
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
@@ -118,7 +117,7 @@ class VirtualMemory
     std::uint64_t allocatedBytes() const { return next_vaddr - base_vaddr; }
 
     /** Number of mapped pages. */
-    std::size_t mappedPages() const { return page_table.size(); }
+    std::size_t mappedPages() const { return frames.size(); }
 
   private:
     struct Frame
@@ -128,26 +127,51 @@ class VirtualMemory
 
     const std::byte *framePtr(Addr vaddr) const;
 
+    /** pfn of @p vaddr's page; fatal if the page is unmapped. */
+    std::uint64_t
+    pfnOf(Addr vaddr) const
+    {
+        const Addr index = vpn(vaddr) - base_vpn; // wraps below base
+        fatal_if(index >= page_table.size() || page_table[index] == unmapped,
+                 "access to unmapped virtual address 0x%llx",
+                 static_cast<unsigned long long>(vaddr));
+        return page_table[index];
+    }
+
     std::uint64_t phys_limit;
     // Start allocations away from 0 so that null-ish addresses fault.
     static constexpr Addr base_vaddr = 0x10000;
+    static constexpr Addr base_vpn = base_vaddr >> page_shift;
+    /** Page-table entry of a page alloc() skipped for alignment. */
+    static constexpr std::uint64_t unmapped = ~std::uint64_t{0};
     Addr next_vaddr = base_vaddr;
-    std::uint64_t next_frame = 0;
-    std::unordered_map<Addr, std::uint64_t> page_table; // vpn -> pfn
-    std::vector<Frame> frames;                          // pfn -> storage
+    /**
+     * Flat page table: vpn - base_vpn -> pfn.  alloc() is a bump
+     * allocator, so the mapped range is dense from base_vpn up.
+     */
+    std::vector<std::uint64_t> page_table;
+    std::vector<Frame> frames; // pfn -> storage
 };
 
 /**
  * Per-core TLB: fully-associative, LRU, with a fixed page-walk
  * penalty on miss.  Returns the access latency contribution of
  * translation for a memory operation or PEI issue.
+ *
+ * Shaped like the hardware: a fixed file of `entries` tags matched
+ * linearly, each with a last-use stamp.  Stamps are unique and free
+ * entries hold stamp 0, so the minimum-stamp victim is a free entry
+ * while one remains and the least-recently-used page after that.
  */
 class Tlb
 {
   public:
     Tlb(unsigned entries, Ticks walk_latency)
-        : capacity(entries), walk_latency(walk_latency)
-    {}
+        : vpns(entries, invalid_vpn), stamps(entries, 0),
+          walk_latency(walk_latency)
+    {
+        fatal_if(entries == 0, "a TLB needs at least one entry");
+    }
 
     /**
      * Look up @p vaddr; updates LRU state and miss counters.
@@ -159,12 +183,15 @@ class Tlb
     std::uint64_t misses() const { return miss_count; }
 
   private:
-    unsigned capacity;
+    /** Tag of a free entry; no vaddr >> page_shift reaches it. */
+    static constexpr Addr invalid_vpn = ~Addr{0};
+
+    std::vector<Addr> vpns;            ///< entry -> cached vpn
+    std::vector<std::uint64_t> stamps; ///< entry -> last use (0 = free)
     Ticks walk_latency;
     std::uint64_t hit_count = 0;
     std::uint64_t miss_count = 0;
     std::uint64_t tick = 0;
-    std::unordered_map<Addr, std::uint64_t> lru; // vpn -> last use
 };
 
 } // namespace pei

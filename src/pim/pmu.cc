@@ -345,9 +345,19 @@ Pmu::buildLockList(PeiTxn &t)
     // Ascending (bank, entry-key) acquisition order — globally
     // consistent across all PEIs, so ordered multi-acquisition
     // cannot form a wait cycle — with aliased entries acquired once.
-    std::sort(locks, locks + nb, [](const Lock &a, const Lock &b) {
-        return a.shard != b.shard ? a.shard < b.shard : a.key < b.key;
-    });
+    // A stable insertion sort: nb is at most max_pei_target_blocks
+    // (8), and libstdc++'s std::sort insertion-sorts ranges that
+    // short, so the order matches std::sort's.
+    for (unsigned i = 1; i < nb; ++i) {
+        const Lock cur = locks[i];
+        unsigned j = i;
+        for (; j > 0 && (cur.shard != locks[j - 1].shard
+                             ? cur.shard < locks[j - 1].shard
+                             : cur.key < locks[j - 1].key);
+             --j)
+            locks[j] = locks[j - 1];
+        locks[j] = cur;
+    }
     t.lock_count = 0;
     unsigned i = 0;
     while (i < nb) {

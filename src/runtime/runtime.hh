@@ -8,6 +8,8 @@
 #define PEISIM_RUNTIME_RUNTIME_HH
 
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "runtime/context.hh"
@@ -41,29 +43,38 @@ class Runtime
         return alloc(count * sizeof(T), align);
     }
 
-    /** Spawn a kernel coroutine bound to @p core. */
+    /**
+     * Spawn a kernel coroutine bound to @p core, invoking fn(ctx).
+     * The runtime keeps a copy of @p fn until run() returns: a
+     * coroutine lambda's frame refers to its closure, so passing a
+     * capturing lambda as a temporary is safe.
+     */
     template <typename Fn>
     void
     spawn(unsigned core, Fn &&fn)
     {
         fatal_if(core >= sys.numCores(), "spawn on bad core %u", core);
+        auto &kernel = keep(std::forward<Fn>(fn));
         ctxs.push_back(std::make_unique<Ctx>(sys, core));
-        tasks.push_back(fn(*ctxs.back()));
+        tasks.push_back(kernel(*ctxs.back()));
         tasks.back().countFinish(finished);
     }
 
     /**
      * Spawn @p nthreads kernels on cores [base, base + nthreads),
-     * invoking fn(ctx, tid, nthreads).
+     * invoking fn(ctx, tid, nthreads).  As with spawn(), the runtime
+     * keeps one copy of @p fn, shared by the threads, until run()
+     * returns.
      */
     template <typename Fn>
     void
     spawnThreads(unsigned nthreads, Fn &&fn, unsigned base = 0)
     {
+        auto &kernel = keep(std::forward<Fn>(fn));
         for (unsigned t = 0; t < nthreads; ++t) {
             const unsigned core = (base + t) % sys.numCores();
             ctxs.push_back(std::make_unique<Ctx>(sys, core));
-            tasks.push_back(fn(*ctxs.back(), t, nthreads));
+            tasks.push_back(kernel(*ctxs.back(), t, nthreads));
             tasks.back().countFinish(finished);
         }
     }
@@ -100,9 +111,7 @@ class Runtime
         }
         // Settle trailing events (posted writes, releases, ...).
         while (eq.runOne()) {}
-        tasks.clear();
-        ctxs.clear();
-        finished = 0;
+        releaseTasks();
         return sys.now() - start;
     }
 
@@ -110,6 +119,47 @@ class Runtime
     bool allDone() const { return finished == tasks.size(); }
 
   private:
+    /** Type-erased owner of a spawned callable. */
+    struct HeldFn
+    {
+        HeldFn() = default;
+        HeldFn(const HeldFn &) = delete;
+        HeldFn &operator=(const HeldFn &) = delete;
+        virtual ~HeldFn() = default;
+    };
+
+    template <typename F>
+    struct HeldFnOf final : HeldFn
+    {
+        template <typename Arg>
+        explicit HeldFnOf(Arg &&arg) : fn(std::forward<Arg>(arg))
+        {}
+
+        F fn;
+    };
+
+    /** Store a decayed copy of @p fn until run() returns. */
+    template <typename Fn>
+    std::decay_t<Fn> &
+    keep(Fn &&fn)
+    {
+        auto held =
+            std::make_unique<HeldFnOf<std::decay_t<Fn>>>(std::forward<Fn>(fn));
+        auto &ref = held->fn;
+        fns.push_back(std::move(held));
+        return ref;
+    }
+
+    /** Drop the finished tasks, then their contexts and callables. */
+    void
+    releaseTasks()
+    {
+        tasks.clear();
+        ctxs.clear();
+        fns.clear();
+        finished = 0;
+    }
+
     /**
      * Epoch-driven variant of run() for --shards > 1: each
      * runEpoch() advances every shard to a conservatively safe
@@ -142,9 +192,7 @@ class Runtime
             if (sq.stopRequested())
                 throw SimulationStopped();
         }
-        tasks.clear();
-        ctxs.clear();
-        finished = 0;
+        releaseTasks();
         return sys.now() - start;
     }
 
@@ -158,6 +206,8 @@ class Runtime
     }
 
     System &sys;
+    /** Spawned callables; declared first so tasks die before them. */
+    std::vector<std::unique_ptr<HeldFn>> fns;
     std::vector<std::unique_ptr<Ctx>> ctxs;
     std::vector<Task> tasks;
     std::uint64_t finished = 0; ///< tasks completed (see countFinish)

@@ -6,23 +6,38 @@
  * scheduled for the same tick execute in scheduling order (FIFO),
  * which keeps simulations fully deterministic.
  *
- * Storage layout: the binary heap holds 24-byte EventRef PODs
- * (tick, seq, slot) while the continuations themselves live in a
- * SlotPool slab arena addressed by slot.  Heap sift operations move
- * only PODs, arena slots are recycled through a freelist, and the
- * callables are allocation-free InlineFunctions — so a steady-state
- * schedule/execute cycle touches the heap allocator exactly zero
- * times.  Ordering is unaffected: the (tick, seq) key is identical
- * to the pre-arena implementation, which can be re-enabled with the
- * PEISIM_REFERENCE_QUEUE CMake option for differential testing (it
- * stores each continuation inside its heap node, the seed layout).
+ * Storage layout: the continuations live in a SlotPool slab arena
+ * addressed by 32-bit slot; arena slots are recycled through a
+ * freelist and the callables are allocation-free InlineFunctions, so
+ * a steady-state schedule/execute cycle touches the heap allocator
+ * zero times.  Ordering uses two structures:
+ *
+ *  - a ring of ring_ticks one-tick buckets covering
+ *    [now, now + ring_ticks).  Each bucket is an intrusive FIFO of
+ *    arena slots linked through a per-slot `next` array, and a
+ *    ring_ticks-bit occupancy bitmap finds the next non-empty bucket
+ *    with count-trailing-zeros.  Nearly every event (cache, link and
+ *    vault latencies) lands here, at O(1) per schedule and pop;
+ *  - a binary heap of (tick, seq, slot) PODs for events scheduled
+ *    ring_ticks or more ticks ahead.  Its events are never migrated
+ *    into the ring as time advances.
+ *
+ * The next event is the earlier of the first occupied bucket and the
+ * heap top.  On equal ticks the heap top wins: it was scheduled while
+ * now was at least ring_ticks earlier, hence before every event in
+ * the ring bucket for that tick, so exact (tick, seq) FIFO order
+ * holds without a seq in the ring.  The seed layout (a binary heap
+ * whose nodes carry the continuation) can be re-enabled with the
+ * PEISIM_REFERENCE_QUEUE CMake option for differential testing.
  */
 
 #ifndef PEISIM_SIM_EVENT_QUEUE_HH
 #define PEISIM_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional> // stdfunction-allowed: cold boundary-probe hook only
 #include <stdexcept>
@@ -76,6 +91,14 @@ class EventQueue
      */
     static constexpr std::uint64_t stop_check_interval = 1024;
 
+    /**
+     * Ticks covered by the bucket ring: events scheduled fewer than
+     * this many ticks ahead take the O(1) ring path, later ones the
+     * overflow heap.  Most simulated latencies are a few hundred
+     * ticks.  Must be a power of two.
+     */
+    static constexpr std::uint32_t ring_ticks = 1024;
+
     /** Current simulation time. */
     Tick now() const { return cur_tick; }
 
@@ -96,57 +119,64 @@ class EventQueue
                  static_cast<unsigned long long>(cur_tick));
 #ifdef PEISIM_REFERENCE_QUEUE
         events.push_back(Event{when, next_seq++, std::move(fn)});
+        std::push_heap(events.begin(), events.end(), Later{});
 #else
         const std::uint32_t slot = arena.emplace(std::move(fn));
-        events.push_back(Event{when, next_seq++, slot});
+        if (when - cur_tick >= ring_ticks) {
+            overflow.push_back(Event{when, next_seq++, slot});
+            std::push_heap(overflow.begin(), overflow.end(), Later{});
+            return;
+        }
+        if (slot >= ring_next.size())
+            ring_next.resize(arena.capacity());
+        ring_next[slot] = nil;
+        const std::uint32_t b = when & ring_mask;
+        Bucket &bk = buckets[b];
+        if (bk.head == nil) {
+            bk.head = slot;
+            occupied[b >> 6] |= std::uint64_t{1} << (b & 63);
+        } else {
+            ring_next[bk.tail] = slot;
+        }
+        bk.tail = slot;
+        ++ring_count;
 #endif
-        std::push_heap(events.begin(), events.end(), Later{});
     }
 
     /** True if no events are pending. */
-    bool empty() const { return events.empty(); }
+    bool empty() const { return size() == 0; }
 
     /** Number of pending events. */
-    std::size_t size() const { return events.size(); }
+    std::size_t
+    size() const
+    {
+#ifdef PEISIM_REFERENCE_QUEUE
+        return events.size();
+#else
+        return ring_count + overflow.size();
+#endif
+    }
 
     /** Tick of the next pending event (max_tick if empty). */
     Tick
     nextEventTick() const
     {
+#ifdef PEISIM_REFERENCE_QUEUE
         return events.empty() ? max_tick : events.front().when;
+#else
+        std::uint32_t bucket = 0;
+        const Tick ring_when = ringFront(bucket);
+        if (!overflow.empty() && overflow.front().when <= ring_when)
+            return overflow.front().when;
+        return ring_when;
+#endif
     }
 
     /**
      * Pop and execute the next event, advancing time to it.
      * @return false if the queue was empty.
      */
-    bool
-    runOne()
-    {
-        if (events.empty())
-            return false;
-        // pop_heap moves the front event to the back, where it can be
-        // moved from without casting away constness.  The callback
-        // may schedule new events, so extract it fully first.
-        std::pop_heap(events.begin(), events.end(), Later{});
-#ifdef PEISIM_REFERENCE_QUEUE
-        Event ev = std::move(events.back());
-        events.pop_back();
-        cur_tick = ev.when;
-        ev.fn();
-#else
-        const Event ev = events.back();
-        events.pop_back();
-        cur_tick = ev.when;
-        Continuation fn = std::move(arena[ev.slot]);
-        arena.erase(ev.slot);
-        fn();
-#endif
-        ++executed_count;
-        if (probe && executed_count % probe_every == 0)
-            probe();
-        return true;
-    }
+    bool runOne() { return runNext(max_tick); }
 
     /**
      * Install @p fn as the event-boundary probe: it runs after every
@@ -205,16 +235,19 @@ class EventQueue
     run(Tick limit = max_tick)
     {
         RunOutcome out;
-        while (!events.empty() && events.front().when <= limit) {
+        while (true) {
             if ((out.executed & (stop_check_interval - 1)) == 0 &&
                 stopRequested()) {
+                if (empty() || nextEventTick() > limit)
+                    break;
                 out.why = RunBreak::Stopped;
                 return out;
             }
-            runOne();
+            if (!runNext(limit))
+                break;
             ++out.executed;
         }
-        out.why = events.empty() ? RunBreak::Drained : RunBreak::Limit;
+        out.why = empty() ? RunBreak::Drained : RunBreak::Limit;
         return out;
     }
 
@@ -263,6 +296,57 @@ class EventQueue
     }
 
   private:
+    /**
+     * Pop and execute the next event if its tick is <= @p limit.
+     * The callback may schedule new events, so it is detached from
+     * the queue before it runs.
+     * @return false if no event is due by @p limit.
+     */
+    bool
+    runNext(Tick limit)
+    {
+#ifdef PEISIM_REFERENCE_QUEUE
+        if (events.empty() || events.front().when > limit)
+            return false;
+        // pop_heap moves the front event to the back, where it can be
+        // moved from without casting away constness.
+        std::pop_heap(events.begin(), events.end(), Later{});
+        Event ev = std::move(events.back());
+        events.pop_back();
+        cur_tick = ev.when;
+        ev.fn();
+#else
+        std::uint32_t bucket = 0;
+        const Tick ring_when = ringFront(bucket);
+        std::uint32_t slot = nil;
+        if (!overflow.empty() && overflow.front().when <= ring_when) {
+            if (overflow.front().when > limit)
+                return false;
+            std::pop_heap(overflow.begin(), overflow.end(), Later{});
+            cur_tick = overflow.back().when;
+            slot = overflow.back().slot;
+            overflow.pop_back();
+        } else {
+            if (ring_count == 0 || ring_when > limit)
+                return false;
+            Bucket &bk = buckets[bucket];
+            slot = bk.head;
+            bk.head = ring_next[slot];
+            if (bk.head == nil)
+                occupied[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
+            --ring_count;
+            cur_tick = ring_when;
+        }
+        Continuation fn = std::move(arena[slot]);
+        arena.erase(slot);
+        fn();
+#endif
+        ++executed_count;
+        if (probe && executed_count % probe_every == 0)
+            probe();
+        return true;
+    }
+
 #ifdef PEISIM_REFERENCE_QUEUE
     /** Seed layout: the continuation rides inside its heap node. */
     struct Event
@@ -294,9 +378,54 @@ class EventQueue
         }
     };
 
+#ifdef PEISIM_REFERENCE_QUEUE
     std::vector<Event> events; ///< binary heap ordered by Later
-#ifndef PEISIM_REFERENCE_QUEUE
+#else
+    static constexpr std::uint32_t ring_mask = ring_ticks - 1;
+    static constexpr unsigned ring_words = ring_ticks / 64;
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+
+    /** FIFO of the arena slots due at one tick, linked by ring_next. */
+    struct Bucket
+    {
+        std::uint32_t head = nil;
+        std::uint32_t tail = nil;
+    };
+
+    /**
+     * Tick of the earliest ring event, with its bucket in @p bucket
+     * (max_tick if the ring is empty).  Ring events lie in
+     * [now, now + ring_ticks), so scanning the occupancy bitmap
+     * circularly from now's bucket visits them in tick order.
+     */
+    Tick
+    ringFront(std::uint32_t &bucket) const
+    {
+        if (ring_count == 0)
+            return max_tick;
+        const std::uint32_t start = cur_tick & ring_mask;
+        unsigned w = start >> 6;
+        std::uint64_t bits = occupied[w] & (~std::uint64_t{0} << (start & 63));
+        // ring_words + 1 steps: the last revisits the start word for
+        // the buckets below start (ticks that wrapped around).
+        for (unsigned step = 0; step <= ring_words; ++step) {
+            if (bits) {
+                bucket = (w << 6) | std::countr_zero(bits);
+                return cur_tick + ((bucket - start) & ring_mask);
+            }
+            w = (w + 1) & (ring_words - 1);
+            bits = occupied[w];
+        }
+        panic("event ring count %zu with an empty occupancy bitmap",
+              ring_count);
+    }
+
     SlotPool<Continuation> arena; ///< pending-event continuations
+    std::array<Bucket, ring_ticks> buckets{};
+    std::array<std::uint64_t, ring_words> occupied{}; ///< non-empty buckets
+    std::vector<std::uint32_t> ring_next; ///< per arena slot: next in bucket
+    std::size_t ring_count = 0;           ///< events in the ring
+    std::vector<Event> overflow; ///< heap of events >= ring_ticks ahead
 #endif
     Tick cur_tick = 0;
     std::uint64_t next_seq = 0;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "mem/hmc.hh"
@@ -172,6 +174,53 @@ TEST_F(CacheFixture, MshrExhaustionStallsAndRecovers)
     settle();
     EXPECT_EQ(done, 8);
     caches->checkInvariants();
+}
+
+TEST_F(CacheFixture, MshrSlotsAreReusedWithoutStaleWaiters)
+{
+    // Each round misses on 6 fresh blocks from cores 0 and 1, twice
+    // per core: 6 blocks > 4 core MSHRs, so slots are released and
+    // reclaimed within a round and across rounds, while repeats
+    // coalesce onto the core MSHRs and core 1 onto the L3 MSHRs.
+    // Every callback must fire exactly once.
+    constexpr int rounds = 5;
+    constexpr int blocks = 6;
+    std::vector<int> fired(rounds * blocks * 4, 0);
+    for (int r = 0; r < rounds; ++r) {
+        for (int b = 0; b < blocks; ++b) {
+            const Addr paddr = 0x40000 + 64 * (r * blocks + b);
+            for (int k = 0; k < 4; ++k) {
+                const unsigned core = k / 2;
+                int &slot = fired[(r * blocks + b) * 4 + k];
+                caches->access(core, paddr + 8 * k, false,
+                               [&slot] { ++slot; });
+            }
+        }
+        settle();
+        for (int i = 0; i < (r + 1) * blocks * 4; ++i)
+            ASSERT_EQ(fired[i], 1) << "callback " << i << ", round " << r;
+    }
+    // One DRAM fetch per block: every repeat was served by an MSHR or
+    // the filled line.
+    EXPECT_EQ(stats.get("hmc.reads"), static_cast<std::uint64_t>(rounds * blocks));
+    EXPECT_GT(stats.get("cache.l3_mshr_coalesced"), 0u);
+    caches->checkInvariants();
+}
+
+TEST(CacheDeathTest, ZeroEntryMshrFileIsFatal)
+{
+    StatRegistry stats;
+    ShardedQueue sq;
+    HmcConfig hmc_cfg;
+    HmcBackend hmc(sq, hmc_cfg, stats);
+    CacheConfig cfg;
+    cfg.core_mshrs = 0;
+    EXPECT_DEATH(CacheHierarchy(sq.host(), cfg, 1, hmc, stats),
+                 "MSHR files need at least one entry");
+    cfg.core_mshrs = 16;
+    cfg.l3_mshrs = 0;
+    EXPECT_DEATH(CacheHierarchy(sq.host(), cfg, 1, hmc, stats),
+                 "MSHR files need at least one entry");
 }
 
 TEST_F(CacheFixture, BackInvalidateRemovesEveryCopy)

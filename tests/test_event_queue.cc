@@ -181,15 +181,25 @@ class NaiveReferenceQueue
     }
 
     std::uint64_t
-    run()
+    run(Tick limit = max_tick)
     {
         std::uint64_t n = 0;
-        while (runOne())
+        while (!events.empty() && events.front().when <= limit) {
+            runOne();
             ++n;
+        }
         return n;
     }
 
+    Tick
+    nextEventTick() const
+    {
+        return events.empty() ? max_tick : events.front().when;
+    }
+
     bool empty() const { return events.empty(); }
+
+    std::size_t size() const { return events.size(); }
 
   private:
     struct Ev
@@ -235,6 +245,32 @@ spawnCascade(Queue &q, std::vector<std::uint64_t> &log, std::uint64_t id,
     });
 }
 
+/** Ticks covered by the arena queue's bucket ring. */
+constexpr Ticks ring = EventQueue::ring_ticks;
+
+/**
+ * Far-event cascade: delays sit on both sides of each ring-window
+ * boundary up to four windows ahead, so children of an event land in
+ * the ring, in the overflow heap, and on ticks shared by both.
+ */
+template <typename Queue>
+void
+spawnFarCascade(Queue &q, std::vector<std::uint64_t> &log,
+                std::uint64_t id, int depth)
+{
+    static constexpr Ticks delays[] = {
+        0,        1,        5,        ring - 1,     ring,
+        ring + 1, 2 * ring, 2 * ring - 3, 3 * ring + 7, 4 * ring};
+    const Ticks delay = delays[id % std::size(delays)];
+    q.schedule(delay, [&q, &log, id, depth] {
+        log.push_back(id);
+        if (depth < 4)
+            spawnFarCascade(q, log, id * 7 + 3, depth + 1);
+        if (depth < 4 && id % 3 == 0)
+            spawnFarCascade(q, log, id * 13 + 1, depth + 1);
+    });
+}
+
 TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
 {
     EventQueue arena_q;
@@ -269,6 +305,50 @@ TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
     // growth (not just first-chunk reuse) is covered.
     EXPECT_GT(arena_q.arenaCapacity(), 256u);
 #endif
+
+    // Far events: delays up to four ring windows ahead send events
+    // through both the bucket ring and the overflow heap, wrap the
+    // ring many times, and put ring and overflow events on the same
+    // tick.  The queues are drained by run(limit) in uneven steps
+    // whose limits fall inside, between and past the ring windows.
+    arena_log.clear();
+    naive_log.clear();
+    for (int i = 0; i < 1000; ++i, ++id) {
+        spawnFarCascade(arena_q, arena_log, id, 0);
+        spawnFarCascade(naive_q, naive_log, id, 0);
+    }
+    for (unsigned step = 0; !naive_q.empty(); ++step) {
+        ASSERT_EQ(arena_q.size(), naive_q.size()) << "step " << step;
+        ASSERT_EQ(arena_q.nextEventTick(), naive_q.nextEventTick())
+            << "step " << step;
+        const Tick limit =
+            arena_q.nextEventTick() + (step * 397) % (3 * ring);
+        ASSERT_EQ(arena_q.run(limit).executed, naive_q.run(limit))
+            << "step " << step;
+        ASSERT_EQ(arena_q.now(), naive_q.now()) << "step " << step;
+        ASSERT_EQ(arena_log.size(), naive_log.size()) << "step " << step;
+    }
+    EXPECT_EQ(arena_log, naive_log);
+    EXPECT_TRUE(arena_q.empty());
+    EXPECT_EQ(arena_q.nextEventTick(), max_tick);
+    EXPECT_GT(arena_log.size(), 5000u);
+}
+
+TEST(EventQueue, OverflowEventPrecedesRingEventOnSameTick)
+{
+    // An event scheduled a full ring window ahead lands in the
+    // overflow heap; one scheduled later for the same tick lands in
+    // the ring.  Scheduling order must still decide.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(ring, [&order] { order.push_back(0); });
+    eq.schedule(1, [&eq, &order] {
+        eq.schedule(ring - 1, [&order] { order.push_back(2); });
+    });
+    eq.schedule(ring, [&order] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.now(), ring);
 }
 
 TEST(SlotPool, HandlesAreStableAndFreelistRecycles)

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+
 #include "common/rng.hh"
 #include "mem/addr_map.hh"
 #include "mem/dram.hh"
@@ -74,6 +77,79 @@ TEST(Tlb, HitsAfterFirstAccessAndEvictsLru)
     EXPECT_EQ(tlb.access(0x3000), 100u); // evicts 0x2000 (LRU)
     EXPECT_EQ(tlb.access(0x2000), 100u); // miss again
     EXPECT_EQ(tlb.misses(), 4u);
+}
+
+TEST(Tlb, MatchesNaiveLruModelOnSeededStream)
+{
+    // The pre-array TLB: a vpn -> last-use map that evicts the
+    // minimum stamp once full.  The fixed-array TLB must report the
+    // same hit/miss sequence access for access.
+    struct NaiveTlb
+    {
+        std::unordered_map<Addr, std::uint64_t> lru;
+        std::uint64_t tick = 0;
+
+        bool
+        hit(Addr vaddr)
+        {
+            const Addr page = VirtualMemory::vpn(vaddr);
+            ++tick;
+            if (auto it = lru.find(page); it != lru.end()) {
+                it->second = tick;
+                return true;
+            }
+            if (lru.size() >= 64) {
+                lru.erase(std::min_element(
+                    lru.begin(), lru.end(), [](const auto &a, const auto &b) {
+                        return a.second < b.second;
+                    }));
+            }
+            lru.emplace(page, tick);
+            return false;
+        }
+    };
+
+    Tlb tlb(64, 30);
+    NaiveTlb naive;
+    Rng rng(20151);
+    std::uint64_t hits = 0;
+    for (int i = 0; i < 200000; ++i) {
+        // A hot set that fits, a warm set that thrashes around the
+        // capacity, and cold pages that always miss.
+        const std::uint64_t r = rng.below(100);
+        const Addr page = r < 60   ? rng.below(48)
+                          : r < 95 ? 48 + rng.below(40)
+                                   : 1000 + rng.below(1 << 20);
+        const Addr vaddr = (page << page_shift) | rng.below(page_size);
+        const bool expect_hit = naive.hit(vaddr);
+        ASSERT_EQ(tlb.access(vaddr), expect_hit ? 0u : 30u)
+            << "access " << i;
+        hits += expect_hit;
+    }
+    EXPECT_EQ(tlb.hits(), hits);
+    EXPECT_EQ(tlb.misses(), 200000u - hits);
+    // The stream exercises both outcomes heavily.
+    EXPECT_GT(hits, 100000u);
+    EXPECT_GT(tlb.misses(), 20000u);
+}
+
+TEST(TlbDeathTest, ZeroEntriesIsFatal)
+{
+    EXPECT_DEATH(Tlb(0, 30), "at least one entry");
+}
+
+TEST(VirtualMemoryDeathTest, PagesOutsideAllocationsAreUnmapped)
+{
+    VirtualMemory vm(64 << 20);
+    const Addr a = vm.alloc(100);
+    // A 64 KiB alignment skips the rest of the first 64 KiB window.
+    const Addr b = vm.alloc(4096, 1 << 16);
+    EXPECT_EQ(vm.mappedPages(), 2u);
+    EXPECT_EQ(vm.translate(b) >> page_shift,
+              (vm.translate(a) >> page_shift) + 1);
+    EXPECT_DEATH((void)vm.translate(a + page_size), "unmapped virtual");
+    EXPECT_DEATH((void)vm.translate(a - page_size), "unmapped virtual");
+    EXPECT_DEATH((void)vm.translate(b + page_size), "unmapped virtual");
 }
 
 // ------------------------------------------------------------ AddrMap

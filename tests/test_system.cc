@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.hh"
 #include "fixture.hh"
 #include "runtime/report.hh"
@@ -55,6 +58,33 @@ runMix(const SystemConfig &cfg, std::uint64_t seed,
             *sum_out += sys.memory().read<std::uint64_t>(arr + 8 * i);
     }
     return t;
+}
+
+TEST(SystemProperties, RuntimeKeepsSpawnedClosuresUntilRunReturns)
+{
+    // A coroutine lambda's frame refers to its closure, so a
+    // capturing lambda passed as a temporary must stay alive until
+    // its coroutines finish: the runtime holds a copy until run()
+    // returns.  The shared_ptr's use count shows the copy is held.
+    System sys(smallConfig());
+    Runtime rt(sys);
+    auto token = std::make_shared<std::uint64_t>(7);
+    std::vector<std::uint64_t> seen(sys.numCores() + 1, 0);
+    rt.spawnThreads(sys.numCores(),
+                    [token, &seen](Ctx &ctx, unsigned tid, unsigned) -> Task {
+                        co_await ctx.compute(10 + tid);
+                        seen[tid] = *token;
+                    });
+    rt.spawn(0, [token, &seen](Ctx &ctx) -> Task {
+        co_await ctx.compute(20);
+        seen.back() = *token + 1;
+    });
+    EXPECT_EQ(token.use_count(), 3);
+    rt.run();
+    EXPECT_EQ(token.use_count(), 1);
+    for (unsigned t = 0; t < sys.numCores(); ++t)
+        EXPECT_EQ(seen[t], 7u) << "thread " << t;
+    EXPECT_EQ(seen.back(), 8u);
 }
 
 TEST(SystemProperties, PeiLatencyHistogramsAndRunRecord)

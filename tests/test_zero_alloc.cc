@@ -234,10 +234,11 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
 {
     // The fig06-small regime: a locality-aware machine with a working
     // set far past L3, so PEIs split between host execution (cache
-    // misses -> MSHR map nodes) and memory-side offload (vault
-    // request deques).  Those residual containers allocate per miss
-    // by design; the refactor's claim here is a rate bound, not
-    // exact zero.
+    // misses) and memory-side offload (vault request deques).  MSHRs
+    // are fixed files, so a miss allocates only when it coalesces
+    // (the slot's waiter vector grows); those vectors and the vault
+    // deques are the residual allocators, so the claim here is a
+    // rate bound, not exact zero.
     SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
     cfg.cores = 4;
     cfg.phys_bytes = 256ULL << 20;
@@ -261,7 +262,7 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
     const double events = static_cast<double>(
         sys.eventQueue().executedCount() - events_before);
     ASSERT_GT(events, 100000.0);
-    EXPECT_LT(allocs / events, 0.2)
+    EXPECT_LT(allocs / events, 0.08)
         << allocs << " allocations over " << events << " events";
 }
 
