@@ -13,8 +13,10 @@
 #ifndef PEISIM_MEM_VMEM_HH
 #define PEISIM_MEM_VMEM_HH
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -72,6 +74,39 @@ class VirtualMemory
     write(Addr vaddr, const T &value)
     {
         writeBytes(vaddr, &value, sizeof(T));
+    }
+
+    /**
+     * Set-up bulk write: stores gen(0), ..., gen(count - 1) as
+     * consecutive Ts from @p vaddr, straight into the backing frames
+     * one page at a time, so materializing an input array costs one
+     * page-table lookup per page and no staging buffer.  An element
+     * that straddles a page boundary goes through writeBytes().
+     */
+    template <typename T, typename Gen>
+    void
+    writeArray(Addr vaddr, std::uint64_t count, Gen &&gen)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        std::uint64_t i = 0;
+        while (i < count) {
+            const std::uint64_t off = vaddr & (page_size - 1);
+            const std::uint64_t fit = std::min<std::uint64_t>(
+                count - i, (page_size - off) / sizeof(T));
+            if (fit == 0) {
+                const T value = gen(i++);
+                writeBytes(vaddr, &value, sizeof(T));
+                vaddr += sizeof(T);
+                continue;
+            }
+            std::byte *dst = frames[pfnOf(vaddr)].data.get() + off;
+            for (const std::uint64_t end = i + fit; i < end; ++i) {
+                const T value = gen(i);
+                std::memcpy(dst, &value, sizeof(T));
+                dst += sizeof(T);
+            }
+            vaddr += fit * sizeof(T);
+        }
     }
 
     /** Functional bulk read; may cross page boundaries. */

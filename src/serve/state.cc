@@ -60,15 +60,14 @@ ServeState::setup(Runtime &rt)
     table_addr_ = materializeHashTable(rt, image_->table);
     graph_ = std::make_unique<CsrGraph>(rt, image_->edges);
 
-    VirtualMemory &vm = rt.system().memory();
+    // Fresh allocations are zeroed, so the rank array needs no writes.
     rank_addr_ = rt.allocArray<double>(cfg_.vertices);
-    for (std::uint64_t v = 0; v < cfg_.vertices; ++v)
-        vm.write<double>(rank_addr_ + 8 * v, 0.0);
 
     points_addr_ =
         rt.allocArray<float>(cfg_.points * ServeStateConfig::knn_dims);
-    for (std::size_t i = 0; i < image_->points.size(); ++i)
-        vm.write<float>(points_addr_ + 4 * i, image_->points[i]);
+    rt.system().memory().writeArray<float>(
+        points_addr_, image_->points.size(),
+        [this](std::uint64_t i) { return image_->points[i]; });
 }
 
 std::uint64_t

@@ -1,7 +1,5 @@
 #include "analytics.hh"
 
-#include <unordered_set>
-
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "pim/pei_op.hh"
@@ -63,20 +61,18 @@ genHashJoinInput(std::uint64_t build_rows, std::uint64_t probe_rows,
     in.table = buildHashTable(build_keys);
 
     // Probe relation: ~50% hits.
-    std::unordered_set<std::uint64_t> build_set(build_keys.begin(),
-                                                build_keys.end());
     in.probe_keys.resize(probe_rows);
     for (std::uint64_t i = 0; i < probe_rows; ++i) {
         std::uint64_t key;
         if (rng.chance(0.5)) {
             key = build_keys[rng.below(build_rows)];
+            ++in.expected_matches;
         } else {
             do {
                 key = rng.next() | 1;
-            } while (build_set.count(key));
+            } while (in.table.contains(key));
         }
         in.probe_keys[i] = key;
-        in.expected_matches += build_set.count(key);
     }
     return in;
 }
@@ -95,12 +91,11 @@ HashJoinWorkload::setup(Runtime &rt)
     num_buckets = input->table.num_buckets;
 
     table_addr = materializeHashTable(rt, input->table);
-    VirtualMemory &vm = rt.system().memory();
-
     probe_addr = rt.allocArray<std::uint64_t>(probe_rows);
     expected_matches = input->expected_matches;
-    for (std::uint64_t i = 0; i < probe_rows; ++i)
-        vm.write<std::uint64_t>(probe_addr + 8 * i, input->probe_keys[i]);
+    rt.system().memory().writeArray<std::uint64_t>(
+        probe_addr, probe_rows,
+        [this](std::uint64_t i) { return input->probe_keys[i]; });
 }
 
 Task
@@ -168,10 +163,9 @@ HistogramWorkload::setup(Runtime &rt)
 {
     fatal_if(num_ints % 16 != 0, "HG input must be a whole block count");
     input_addr = rt.allocArray<std::uint32_t>(num_ints);
-    VirtualMemory &vm = rt.system().memory();
     const auto &vals = cachedRandomU32(num_ints, seed ^ 0x47);
-    for (std::uint64_t i = 0; i < num_ints; ++i)
-        vm.write<std::uint32_t>(input_addr + 4 * i, vals[i]);
+    rt.system().memory().writeArray<std::uint32_t>(
+        input_addr, num_ints, [&vals](std::uint64_t i) { return vals[i]; });
 }
 
 Task
@@ -239,10 +233,9 @@ RadixPartitionWorkload::setup(Runtime &rt)
     fatal_if(rows % 16 != 0, "RP input must be a whole block count");
     input_addr = rt.allocArray<std::uint32_t>(rows);
     output_addr = rt.allocArray<std::uint32_t>(rows);
-    VirtualMemory &vm = rt.system().memory();
     const auto &vals = cachedRandomU32(rows, seed ^ 0x52);
-    for (std::uint64_t i = 0; i < rows; ++i)
-        vm.write<std::uint32_t>(input_addr + 4 * i, vals[i]);
+    rt.system().memory().writeArray<std::uint32_t>(
+        input_addr, rows, [&vals](std::uint64_t i) { return vals[i]; });
 }
 
 Task

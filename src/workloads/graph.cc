@@ -1,6 +1,7 @@
 #include "graph.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -13,7 +14,6 @@ genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
 {
     fatal_if(vertices < 2, "R-MAT needs at least two vertices");
     const unsigned levels = ceilLog2(vertices);
-    const std::uint64_t n = 1ULL << levels;
     Rng rng(seed);
 
     EdgeList el;
@@ -27,28 +27,28 @@ genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
     // of a percent of the edges), which would turn PEI atomicity
     // into an artificial serialization bottleneck.
     constexpr double base_a = 0.57, base_b = 0.19, base_c = 0.19;
+    // b and c share a base, so b / total is also c / total, bit for bit.
+    static_assert(base_b == base_c, "the descent reuses b for c");
     while (el.edges.size() < edges) {
         std::uint64_t src = 0, dst = 0;
         for (unsigned l = 0; l < levels; ++l) {
             const double noise = 0.75 + 0.5 * rng.uniform();
-            double a = base_a * noise;
-            double b = base_b, c = base_c;
-            const double total = a + b + c + (1.0 - base_a - base_b -
-                                              base_c);
-            a /= total;
-            b /= total;
-            c /= total;
+            const double a0 = base_a * noise;
+            const double total = a0 + base_b + base_c +
+                                 (1.0 - base_a - base_b - base_c);
+            const double a = a0 / total;
+            const double b = base_b / total;
             const double u = rng.uniform();
-            if (u < a) {
-                // top-left quadrant
-            } else if (u < a + b) {
-                dst |= n >> (l + 1);
-            } else if (u < a + b + c) {
-                src |= n >> (l + 1);
-            } else {
-                src |= n >> (l + 1);
-                dst |= n >> (l + 1);
-            }
+            // Quadrant choice without branches.  The thresholds a,
+            // a + b, a + b + c rise monotonically, so (ge_a, ge_ab,
+            // ge_abc) reads 000 top-left, 100 top-right, 110
+            // bottom-left and 111 bottom-right: src takes ge_ab, dst
+            // the parity of all three.
+            const unsigned ge_a = !(u < a);
+            const unsigned ge_ab = !(u < a + b);
+            const unsigned ge_abc = !(u < a + b + b);
+            src = (src << 1) | ge_ab;
+            dst = (dst << 1) | (ge_a ^ ge_ab ^ ge_abc);
         }
         if (src >= vertices || dst >= vertices || src == dst)
             continue;
@@ -62,14 +62,14 @@ genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
     // its edges; plain R-MAT exceeds 1%).  Excess in-edges of
     // over-cap vertices are redirected to uniform targets, keeping
     // the power-law body while matching real apex concentration.
+    fatal_if(edges > std::numeric_limits<std::uint32_t>::max(),
+             "R-MAT in-degree counters are 32-bit");
     const std::uint64_t cap = std::max<std::uint64_t>(
         64, static_cast<std::uint64_t>(0.0005 * static_cast<double>(edges)));
-    std::vector<std::uint64_t> indeg(vertices, 0);
-    for (auto &[s, d] : el.edges) {
-        (void)s;
+    std::vector<std::uint32_t> indeg(vertices, 0);
+    for (const auto &[s, d] : el.edges)
         ++indeg[d];
-    }
-    std::vector<std::uint64_t> kept(vertices, 0);
+    std::vector<std::uint32_t> kept(vertices, 0);
     for (auto &[s, d] : el.edges) {
         if (indeg[d] <= cap)
             continue;
@@ -135,10 +135,10 @@ CsrGraph::CsrGraph(Runtime &rt, const EdgeList &el)
     row_addr = rt.allocArray<std::uint64_t>(nv + 1);
     col_addr = rt.allocArray<std::uint64_t>(ne ? ne : 1);
     VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v <= nv; ++v)
-        vm.write<std::uint64_t>(row_addr + 8 * v, row[v]);
-    for (std::uint64_t e = 0; e < ne; ++e)
-        vm.write<std::uint64_t>(col_addr + 8 * e, col[e]);
+    vm.writeArray<std::uint64_t>(row_addr, nv + 1,
+                                 [this](std::uint64_t v) { return row[v]; });
+    vm.writeArray<std::uint64_t>(col_addr, ne,
+                                 [this](std::uint64_t e) { return col[e]; });
 }
 
 const std::vector<NamedGraphSpec> &

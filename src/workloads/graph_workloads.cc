@@ -60,11 +60,10 @@ AtfWorkload::setup(Runtime &rt)
 
     Rng rng(seed ^ 0xA7F);
     teen_ref.resize(nv);
-    VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v < nv; ++v) {
-        teen_ref[v] = rng.chance(0.25) ? 1 : 0;
-        vm.write<std::uint8_t>(teen_addr + v, teen_ref[v]);
-    }
+    for (auto &teen : teen_ref)
+        teen = rng.chance(0.25) ? 1 : 0;
+    rt.system().memory().writeArray<std::uint8_t>(
+        teen_addr, nv, [this](std::uint64_t v) { return teen_ref[v]; });
 }
 
 Task
@@ -137,10 +136,10 @@ BfsWorkload::setup(Runtime &rt)
     level_addr = rt.allocArray<std::uint64_t>(nv);
     source = hubVertex(*graph);
 
-    VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v < nv; ++v)
-        vm.write<std::uint64_t>(level_addr + 8 * v, unreachable);
-    vm.write<std::uint64_t>(level_addr + 8 * source, 0);
+    rt.system().memory().writeArray<std::uint64_t>(
+        level_addr, nv, [this](std::uint64_t v) {
+            return v == source ? 0 : unreachable;
+        });
 }
 
 Task
@@ -240,12 +239,12 @@ PageRankWorkload::setup(Runtime &rt)
 
     VirtualMemory &vm = rt.system().memory();
     const double n = static_cast<double>(nv);
-    for (std::uint64_t v = 0; v < nv; ++v) {
-        vm.write<double>(pr_addr + 8 * v, 1.0 / n);
-        vm.write<double>(next_pr_addr + 8 * v, 0.15 / n);
-        vm.write<std::uint64_t>(degree_addr + 8 * v,
-                                graph->outDegree(v));
-    }
+    vm.writeArray<double>(pr_addr, nv, [n](std::uint64_t) { return 1.0 / n; });
+    vm.writeArray<double>(next_pr_addr, nv,
+                          [n](std::uint64_t) { return 0.15 / n; });
+    vm.writeArray<std::uint64_t>(degree_addr, nv, [this](std::uint64_t v) {
+        return graph->outDegree(v);
+    });
 }
 
 Task
@@ -377,11 +376,11 @@ SsspWorkload::setup(Runtime &rt)
     source = hubVertex(*graph);
 
     VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v < nv; ++v)
-        vm.write<std::uint64_t>(dist_addr + 8 * v, inf_dist);
-    vm.write<std::uint64_t>(dist_addr + 8 * source, 0);
-    for (std::uint64_t e = 0; e < ne; ++e)
-        vm.write<std::uint64_t>(weight_addr + 8 * e, weightOf(e));
+    vm.writeArray<std::uint64_t>(dist_addr, nv, [this](std::uint64_t v) {
+        return v == source ? 0 : inf_dist;
+    });
+    vm.writeArray<std::uint64_t>(
+        weight_addr, ne, [this](std::uint64_t e) { return weightOf(e); });
 
     prev_dist.assign(nv, inf_dist);
     prev_dist[source] = 0;
@@ -489,9 +488,8 @@ WccWorkload::setup(Runtime &rt)
     setupGraph(rt); // symmetrized (undirected flag)
     const std::uint64_t nv = graph->numVertices();
     label_addr = rt.allocArray<std::uint64_t>(nv);
-    VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v < nv; ++v)
-        vm.write<std::uint64_t>(label_addr + 8 * v, v);
+    rt.system().memory().writeArray<std::uint64_t>(
+        label_addr, nv, [](std::uint64_t v) { return v; });
     prev_label.resize(nv);
     for (std::uint64_t v = 0; v < nv; ++v)
         prev_label[v] = v;

@@ -57,19 +57,34 @@ buildHashTable(const std::vector<std::uint64_t> &keys)
     return img;
 }
 
+bool
+HashTableImage::contains(std::uint64_t key) const
+{
+    std::uint64_t b = hashTableHash(key) & (num_buckets - 1);
+    while (true) {
+        const HashBucket &bucket = buckets[b];
+        for (std::uint64_t i = 0; i < bucket.count; ++i)
+            if (bucket.keys[i] == key)
+                return true;
+        if (chain_next[b] == 0)
+            return false;
+        b = chain_next[b] - 1;
+    }
+}
+
 Addr
 materializeHashTable(Runtime &rt, const HashTableImage &img)
 {
     const Addr table =
         rt.alloc(img.buckets.size() * sizeof(HashBucket), block_size);
-    VirtualMemory &vm = rt.system().memory();
-    for (std::size_t i = 0; i < img.buckets.size(); ++i) {
-        HashBucket bucket = img.buckets[i];
-        bucket.next = img.chain_next[i]
-                          ? table + (img.chain_next[i] - 1) * block_size
-                          : 0;
-        vm.write(table + i * block_size, bucket);
-    }
+    rt.system().memory().writeArray<HashBucket>(
+        table, img.buckets.size(), [&img, table](std::uint64_t i) {
+            HashBucket bucket = img.buckets[i];
+            bucket.next = img.chain_next[i]
+                              ? table + (img.chain_next[i] - 1) * block_size
+                              : 0;
+            return bucket;
+        });
     return table;
 }
 

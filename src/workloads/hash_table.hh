@@ -32,6 +32,9 @@ struct HashTableImage
     std::uint64_t num_buckets = 0;      ///< primary buckets (pow2)
     std::vector<HashBucket> buckets;    ///< primary + overflow blocks
     std::vector<std::uint64_t> chain_next; ///< index+1 links, 0 = end
+
+    /** Whether @p key was built in: walks its bucket chain. */
+    bool contains(std::uint64_t key) const;
 };
 
 /** SplitMix64 finalizer used as the shared bucket hash. */

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "mem/addr_map.hh"
@@ -63,8 +65,53 @@ TEST(VirtualMemory, ZeroInitialized)
 {
     VirtualMemory vm(64 << 20);
     const Addr a = vm.alloc(1 << 16);
-    for (Addr off = 0; off < (1 << 16); off += 4096)
-        EXPECT_EQ(vm.read<std::uint64_t>(a + off), 0u);
+    std::vector<std::uint8_t> out(1 << 16, 0xFF);
+    vm.readBytes(a, out.data(), out.size());
+    EXPECT_EQ(std::count(out.begin(), out.end(), 0), 1 << 16);
+}
+
+TEST(VirtualMemory, WriteArrayUnalignedAcrossThreePages)
+{
+    VirtualMemory vm(64 << 20);
+    const Addr a = vm.alloc(4 * page_size);
+    // 3 bytes in, every page boundary splits a u64, which then goes
+    // through the writeBytes() fallback; 1036 u64s reach a third page.
+    const Addr start = a + 3;
+    const std::uint64_t count = 1036;
+    ASSERT_EQ(VirtualMemory::vpn(start + 8 * count - 1) -
+                  VirtualMemory::vpn(start),
+              2u);
+    const auto gen = [](std::uint64_t i) {
+        return i * 0x0101010101010101ULL + 0x1122334455667788ULL;
+    };
+    vm.writeArray<std::uint64_t>(start, count, gen);
+
+    // Reference image: 3 zero bytes, the elements, then zeroes again.
+    std::vector<std::uint8_t> want(4 * page_size, 0);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t v = gen(i);
+        std::memcpy(want.data() + 3 + 8 * i, &v, 8);
+    }
+    std::vector<std::uint8_t> got(want.size(), 0xFF);
+    vm.readBytes(a, got.data(), got.size());
+    EXPECT_EQ(got, want);
+}
+
+TEST(VirtualMemory, WriteArrayWidensAcrossPageBoundary)
+{
+    VirtualMemory vm(64 << 20);
+    std::vector<std::uint32_t> narrow(700);
+    for (std::size_t i = 0; i < narrow.size(); ++i)
+        narrow[i] = 0xFFFFFF00u + static_cast<std::uint32_t>(i);
+    // Start one block before a page boundary so the copy crosses it.
+    const Addr base = vm.alloc(2 * page_size + 8 * narrow.size());
+    const Addr a = ((base + page_size) & ~(page_size - 1)) - block_size;
+    vm.writeArray<std::uint64_t>(a, narrow.size(), [&narrow](std::uint64_t i) {
+        return narrow[i];
+    });
+    for (std::size_t i = 0; i < narrow.size(); ++i)
+        ASSERT_EQ(vm.read<std::uint64_t>(a + 8 * i), std::uint64_t{narrow[i]})
+            << "element " << i;
 }
 
 TEST(Tlb, HitsAfterFirstAccessAndEvictsLru)
@@ -150,6 +197,17 @@ TEST(VirtualMemoryDeathTest, PagesOutsideAllocationsAreUnmapped)
     EXPECT_DEATH((void)vm.translate(a + page_size), "unmapped virtual");
     EXPECT_DEATH((void)vm.translate(a - page_size), "unmapped virtual");
     EXPECT_DEATH((void)vm.translate(b + page_size), "unmapped virtual");
+}
+
+TEST(VirtualMemoryDeathTest, WriteArrayIntoUnmappedPageIsFatal)
+{
+    VirtualMemory vm(64 << 20);
+    const Addr a = vm.alloc(page_size);
+    ASSERT_EQ(a & (page_size - 1), 0u);
+    // One element more than the single mapped page holds.
+    EXPECT_DEATH(vm.writeArray<std::uint64_t>(
+                     a, page_size / 8 + 1, [](std::uint64_t i) { return i; }),
+                 "unmapped virtual");
 }
 
 // ------------------------------------------------------------ AddrMap

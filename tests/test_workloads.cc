@@ -13,6 +13,7 @@
 #include "fixture.hh"
 #include "workloads/analytics.hh"
 #include "workloads/graph_workloads.hh"
+#include "workloads/hash_table.hh"
 #include "workloads/ml.hh"
 #include "workloads/workload.hh"
 
@@ -186,6 +187,115 @@ TEST(GraphGen, FigureGraphsAreAscendingAndNine)
     ASSERT_EQ(specs.size(), 9u);
     for (std::size_t i = 1; i < specs.size(); ++i)
         EXPECT_GT(specs[i].vertices, specs[i - 1].vertices);
+}
+
+TEST(HashTable, ContainsWalksOverflowChain)
+{
+    // Eight keys that all hash to bucket 0 of a two-bucket table:
+    // six fill the primary bucket and two spill into one overflow.
+    std::vector<std::uint64_t> keys;
+    std::uint64_t k = 1;
+    for (; keys.size() < 8; k += 2)
+        if ((hashTableHash(k) & 1) == 0)
+            keys.push_back(k);
+    const HashTableImage img = buildHashTable(keys);
+    ASSERT_EQ(img.num_buckets, 2u);
+    ASSERT_EQ(img.buckets.size(), 3u);
+    ASSERT_EQ(img.chain_next[0], 3u);
+
+    for (const auto key : keys)
+        EXPECT_TRUE(img.contains(key)) << key;
+    // Absent keys: one walks bucket 0's whole chain, one lands in the
+    // empty bucket 1.
+    std::uint64_t miss0 = k, miss1 = k;
+    while ((hashTableHash(miss0) & 1) != 0)
+        miss0 += 2;
+    while ((hashTableHash(miss1) & 1) != 1)
+        miss1 += 2;
+    EXPECT_FALSE(img.contains(miss0));
+    EXPECT_FALSE(img.contains(miss1));
+}
+
+// Generated inputs are a compatibility contract: every figure and
+// benchmark result depends on the exact bytes the generators emit, so
+// a speed-up of a generator must reproduce them bit for bit.  These
+// fingerprints pin the RNG draw order and floating-point expression
+// order of the generators.
+
+/** FNV-1a 64 over @p size bytes at @p p, folded into @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void *p, std::size_t size)
+{
+    const auto *b = static_cast<const unsigned char *>(p);
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= b[i];
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+constexpr std::uint64_t fnv_basis = 0xCBF29CE484222325ULL;
+
+std::uint64_t
+edgeListHash(const EdgeList &el)
+{
+    std::uint64_t h = fnv1a(fnv_basis, &el.num_vertices,
+                            sizeof(el.num_vertices));
+    for (const auto &[s, d] : el.edges) {
+        h = fnv1a(h, &s, sizeof(s));
+        h = fnv1a(h, &d, sizeof(d));
+    }
+    return h;
+}
+
+TEST(InputFingerprint, RmatWithApexCap)
+{
+    // 32768 edges give a cap of 64 in-edges.  Uncapped, the apex
+    // vertex would draw over a thousand, so the redistribution pass
+    // draws too; redirected edges may push a vertex a little past 64.
+    const EdgeList el = genRmat(4096, 32768, 11);
+    std::vector<std::uint64_t> indeg(4096, 0);
+    for (const auto &[s, d] : el.edges)
+        ++indeg[d];
+    EXPECT_EQ(*std::max_element(indeg.begin(), indeg.end()), 70u);
+    EXPECT_EQ(edgeListHash(el), 2039978838549742618ULL);
+}
+
+TEST(InputFingerprint, RmatNonPowerOfTwoVertices)
+{
+    // 3000 vertices sit in a 4096-wide recursion, so some draws land
+    // on src/dst >= 3000 and are rejected.
+    EXPECT_EQ(edgeListHash(genRmat(3000, 20000, 7)), 14837216242532193084ULL);
+}
+
+TEST(InputFingerprint, Symmetrized)
+{
+    const EdgeList el = symmetrize(genRmat(3000, 20000, 7));
+    ASSERT_EQ(el.edges.size(), 40000u);
+    EXPECT_EQ(edgeListHash(el), 10737156009416334412ULL);
+}
+
+TEST(InputFingerprint, HashJoinTableAndProbes)
+{
+    System sys(workloadConfig(ExecMode::HostOnly));
+    Runtime rt(sys);
+    // The first allocation of a fresh System sits at the bottom of the
+    // address space, so [base, base + allocatedBytes) covers
+    // everything setup() writes: the bucket table and the probe keys.
+    const Addr base = rt.alloc(block_size);
+    HashJoinWorkload w(2048, 8192, 7);
+    w.setup(rt);
+    const std::uint64_t bytes = sys.memory().allocatedBytes();
+    std::vector<std::uint8_t> image(bytes);
+    sys.memory().readBytes(base, image.data(), bytes);
+    EXPECT_EQ(fnv1a(fnv_basis, image.data(), bytes), 14437528860045102437ULL);
+
+    // validate() holds the matches found to setup()'s expected count.
+    w.spawn(rt, sys.numCores(), 0);
+    rt.run();
+    std::string msg;
+    ASSERT_TRUE(w.validate(sys, msg)) << msg;
+    EXPECT_EQ(w.matches(), 4138u);
 }
 
 } // namespace
