@@ -84,16 +84,49 @@ class CacheArray
         return static_cast<unsigned>(block & (sets - 1));
     }
 
-    /** Find a valid line holding @p block, or nullptr. */
+    /**
+     * Find a valid line holding @p block, or nullptr.  Invalid lines
+     * hold invalid_addr, which no block address equals, so the tag
+     * compare alone decides.
+     */
     CacheLine *
     find(Addr block)
     {
         CacheLine *base = &lines[static_cast<std::size_t>(setIndex(block)) * ways];
         for (unsigned w = 0; w < ways; ++w) {
-            if (base[w].valid && base[w].block == block)
+            if (base[w].block == block)
                 return &base[w];
         }
         return nullptr;
+    }
+
+    /**
+     * find() and victim() in one pass over @p block's set.  Returns
+     * the line holding @p block and sets @p hit; otherwise clears
+     * @p hit and returns exactly the line victim() would choose (the
+     * first invalid way, else the first least-recently-used way).
+     */
+    CacheLine &
+    findOrVictim(Addr block, bool &hit)
+    {
+        CacheLine *base = &lines[static_cast<std::size_t>(setIndex(block)) * ways];
+        CacheLine *invalid = nullptr;
+        CacheLine *lru = &base[0];
+        for (unsigned w = 0; w < ways; ++w) {
+            CacheLine &line = base[w];
+            if (line.block == block) {
+                hit = true;
+                return line;
+            }
+            if (!line.valid) {
+                if (!invalid)
+                    invalid = &line;
+            } else if (line.last_use < lru->last_use) {
+                lru = &line;
+            }
+        }
+        hit = false;
+        return invalid ? *invalid : *lru;
     }
 
     /** Promote @p line to most-recently-used. */

@@ -1,6 +1,7 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
 
@@ -175,12 +176,9 @@ CacheHierarchy::missL2(std::uint32_t req)
         MesiState st = l2line->state;
         if (is_write)
             st = MesiState::Modified;
-        fillPrivate(core, blk, st);
-        if (is_write) {
-            CacheLine *nl1 = privs[core].l1.find(blk);
-            nl1->dirty = true;
-            l2line->state = MesiState::Modified;
-        }
+        CacheLine &l1line = fillPrivate(core, blk, st);
+        if (is_write)
+            l1line.dirty = true;
         eq.schedule(cfg.l2_latency, [this, req] { completeCoreMiss(req); });
         return;
     }
@@ -215,22 +213,17 @@ CacheHierarchy::accessL3(std::uint32_t req)
 
         if (is_write) {
             // Invalidate all remote private copies; gain ownership.
-            bool remote = false;
-            for (unsigned c = 0; c < privs.size(); ++c) {
-                if (c == core || !(line->sharers & (1u << c)))
-                    continue;
-                remote = true;
+            const std::uint32_t remote = line->sharers & ~(1u << core);
+            for (std::uint32_t bits = remote; bits; bits &= bits - 1) {
                 ++stat_invalidations;
-                if (invalidatePrivate(c, block))
+                if (invalidatePrivate(std::countr_zero(bits), block))
                     line->dirty = true;
             }
             if (remote)
                 lat += 2 * cfg.xbar_latency;
             line->sharers = 1u << core;
             line->owner = static_cast<std::int8_t>(core);
-            fillPrivate(core, block, MesiState::Modified);
-            CacheLine *nl1 = privs[core].l1.find(block);
-            nl1->dirty = true;
+            fillPrivate(core, block, MesiState::Modified).dirty = true;
         } else {
             // A remote modified/exclusive owner downgrades to shared.
             if (line->owner >= 0 &&
@@ -277,12 +270,10 @@ CacheHierarchy::l3FetchDone(std::uint32_t req)
     CacheLine &nl = insertL3(block);
     nl.sharers = 1u << core;
     nl.owner = static_cast<std::int8_t>(core);
-    fillPrivate(core, block,
-                is_write ? MesiState::Modified : MesiState::Exclusive);
-    if (is_write) {
-        CacheLine *nl1 = privs[core].l1.find(block);
-        nl1->dirty = true;
-    }
+    CacheLine &l1line = fillPrivate(
+        core, block, is_write ? MesiState::Modified : MesiState::Exclusive);
+    if (is_write)
+        l1line.dirty = true;
     eq.schedule(cfg.l3_latency + cfg.xbar_latency,
                 [this, req] { completeCoreMiss(req); });
 
@@ -292,20 +283,20 @@ CacheHierarchy::l3FetchDone(std::uint32_t req)
     drainL3Stalled();
 }
 
-void
+CacheLine &
 CacheHierarchy::fillPrivate(unsigned core, Addr block, MesiState state)
 {
     auto &pc = privs[core];
+    bool hit = false;
 
     // L2 first (inclusion: L1 ⊆ L2).
-    CacheLine *l2line = pc.l2.find(block);
-    if (!l2line) {
-        CacheLine &v = pc.l2.victim(block);
-        if (v.valid) {
-            const Addr vblock = v.block;
+    CacheLine &l2line = pc.l2.findOrVictim(block, hit);
+    if (!hit) {
+        if (l2line.valid) {
+            const Addr vblock = l2line.block;
             // Inclusive: purge the L1 copy, merging dirtiness down.
             CacheLine *vl1 = pc.l1.find(vblock);
-            bool vdirty = v.dirty;
+            bool vdirty = l2line.dirty;
             if (vl1) {
                 vdirty |= vl1->dirty;
                 pc.l1.invalidate(*vl1);
@@ -322,29 +313,28 @@ CacheHierarchy::fillPrivate(unsigned core, Addr block, MesiState state)
             if (vl3->owner == static_cast<std::int8_t>(core))
                 vl3->owner = -1;
         }
-        pc.l2.fill(v, block, state);
-        l2line = &v;
+        pc.l2.fill(l2line, block, state);
     } else {
-        l2line->state = state;
-        pc.l2.touch(*l2line);
+        l2line.state = state;
+        pc.l2.touch(l2line);
     }
 
     // Then L1.
-    CacheLine *l1line = pc.l1.find(block);
-    if (!l1line) {
-        CacheLine &v = pc.l1.victim(block);
-        if (v.valid && v.dirty) {
+    CacheLine &l1line = pc.l1.findOrVictim(block, hit);
+    if (!hit) {
+        if (l1line.valid && l1line.dirty) {
             // Merge dirty data into the L2 copy (present by inclusion).
-            CacheLine *vl2 = pc.l2.find(v.block);
+            CacheLine *vl2 = pc.l2.find(l1line.block);
             panic_if(!vl2, "L1 victim 0x%llx missing from inclusive L2",
-                     static_cast<unsigned long long>(v.block));
+                     static_cast<unsigned long long>(l1line.block));
             vl2->dirty = true;
         }
-        pc.l1.fill(v, block, state);
+        pc.l1.fill(l1line, block, state);
     } else {
-        l1line->state = state;
-        pc.l1.touch(*l1line);
+        l1line.state = state;
+        pc.l1.touch(l1line);
     }
+    return l1line;
 }
 
 bool
@@ -389,10 +379,8 @@ CacheHierarchy::insertL3(Addr block)
         const Addr vblock = v.block;
         bool dirty = v.dirty;
         // Inclusive policy: back-invalidate every private copy.
-        for (unsigned c = 0; c < privs.size(); ++c) {
-            if (v.sharers & (1u << c))
-                dirty |= invalidatePrivate(c, vblock);
-        }
+        for (std::uint32_t bits = v.sharers; bits; bits &= bits - 1)
+            dirty |= invalidatePrivate(std::countr_zero(bits), vblock);
         if (dirty) {
             ++stat_writebacks_mem;
             mem.writeBlock(vblock << block_shift);
@@ -431,10 +419,8 @@ CacheHierarchy::backInvalidate(Addr paddr, Callback cb)
     // line, whose sharer vector bounds the invalidation fan-out.
     bool dirty = false;
     if (CacheLine *line = l3.find(block)) {
-        for (unsigned c = 0; c < privs.size(); ++c) {
-            if (line->sharers & (1u << c))
-                dirty |= invalidatePrivate(c, block);
-        }
+        for (std::uint32_t bits = line->sharers; bits; bits &= bits - 1)
+            dirty |= invalidatePrivate(std::countr_zero(bits), block);
         dirty |= line->dirty;
         l3.invalidate(*line);
     }
@@ -462,27 +448,20 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
     // reader-PEI offload is exactly one back-writeback.
     ++stat_back_wb;
 
-    CacheLine *line = l3.find(block);
-    bool mem_write = false;
-    if (line) {
-        for (unsigned c = 0; c < privs.size(); ++c) {
-            if ((line->sharers & (1u << c)) &&
-                downgradePrivate(c, block)) {
+    if (CacheLine *line = l3.find(block)) {
+        for (std::uint32_t bits = line->sharers; bits; bits &= bits - 1) {
+            if (downgradePrivate(std::countr_zero(bits), block)) {
                 line->dirty = true;
                 ++stat_writebacks_l3;
             }
         }
-    }
-    if (line) {
         line->owner = -1;
         if (line->dirty) {
             line->dirty = false;
-            mem_write = true;
             ++stat_writebacks_mem;
             mem.writeBlock(paddr);
         }
     }
-    (void)mem_write;
     eq.schedule(cfg.l3_latency, std::move(cb));
 }
 

@@ -22,7 +22,6 @@
 #ifndef PEISIM_CACHE_HIERARCHY_HH
 #define PEISIM_CACHE_HIERARCHY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -183,52 +182,57 @@ class CacheHierarchy
      * A fixed file of MSHRs with tag match, shaped like the hardware:
      * `entries` slots sized by the config, one per outstanding missed
      * block, each holding the callbacks coalesced onto that miss.
+     * Claimed slots stay packed at the front, so a lookup scans only
+     * the misses in flight, not the whole file.
      */
     class MshrFile
     {
       public:
         explicit MshrFile(unsigned entries)
-            : tags(entries, free_tag), waiters(entries)
+            : tags(entries), waiters(entries)
         {}
 
         /** Waiters of the slot tracking @p block; nullptr if none. */
         std::vector<Callback> *
         find(Addr block)
         {
-            const auto it = std::find(tags.begin(), tags.end(), block);
-            return it == tags.end() ? nullptr : &waiters[it - tags.begin()];
+            for (std::size_t i = 0; i < used; ++i) {
+                if (tags[i] == block)
+                    return &waiters[i];
+            }
+            return nullptr;
         }
 
         /** True if every slot tracks a miss. */
         bool full() const { return used == tags.size(); }
 
         /** Claim a free slot for @p block (the file must not be full). */
-        void
-        claim(Addr block)
-        {
-            *std::find(tags.begin(), tags.end(), free_tag) = block;
-            ++used;
-        }
+        void claim(Addr block) { tags[used++] = block; }
 
-        /** Free @p block's slot and hand back its waiters. */
+        /**
+         * Free @p block's slot and hand back its waiters.  The last
+         * claimed slot (tag and waiters) moves into the hole.
+         */
         std::vector<Callback>
         release(Addr block)
         {
-            const auto it = std::find(tags.begin(), tags.end(), block);
-            panic_if(it == tags.end(), "MSHR vanished for block 0x%llx",
+            std::size_t i = 0;
+            while (i < used && tags[i] != block)
+                ++i;
+            panic_if(i == used, "MSHR vanished for block 0x%llx",
                      static_cast<unsigned long long>(block));
-            *it = free_tag;
-            --used;
-            return std::move(waiters[it - tags.begin()]);
+            std::vector<Callback> out = std::move(waiters[i]);
+            if (i != --used) {
+                tags[i] = tags[used];
+                waiters[i] = std::move(waiters[used]);
+            }
+            return out;
         }
 
       private:
-        /** Tag of a free slot; no paddr >> block_shift reaches it. */
-        static constexpr Addr free_tag = ~Addr{0};
-
         std::vector<Addr> tags;                     ///< slot -> block
         std::vector<std::vector<Callback>> waiters; ///< slot -> waiters
-        std::size_t used = 0;                       ///< claimed slots
+        std::size_t used = 0; ///< claimed slots, packed at the front
     };
 
     /**
@@ -276,8 +280,9 @@ class CacheHierarchy
     /** Re-dispatch a back-writeback parked behind an L3 MSHR. */
     void retryBackWriteback(std::uint32_t op);
 
-    /** Fill the private L1+L2 of @p core with @p block in @p state. */
-    void fillPrivate(unsigned core, Addr block, MesiState state);
+    /** Fill the private L1+L2 of @p core with @p block in @p state;
+     *  returns the L1 line now holding it. */
+    CacheLine &fillPrivate(unsigned core, Addr block, MesiState state);
 
     /** Evict @p core's copies of @p block; returns true if dirty. */
     bool invalidatePrivate(unsigned core, Addr block);

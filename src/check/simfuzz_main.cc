@@ -319,12 +319,19 @@ main(int argc, char **argv)
                 fopt.backend.c_str(), coherence_note.c_str(),
                 net_note.c_str(), shards_note.c_str());
 
+    // Case i of the run: its program seed and fuzzed config; every
+    // other field keeps its unpinned default.
+    auto caseId = [&fopt](std::uint64_t i) {
+        FuzzCaseId id;
+        id.seed = caseSeed(fopt.master_seed, i);
+        id.config = static_cast<unsigned>(i % fopt.num_configs);
+        return id;
+    };
+
     Sweep sweep;
     std::vector<FuzzCaseResult> results(cases);
     for (std::uint64_t i = 0; i < cases; ++i) {
-        const FuzzCaseId id{caseSeed(fopt.master_seed, i),
-                            static_cast<unsigned>(i % fopt.num_configs),
-                            full_prefix, 0xffffffffu};
+        const FuzzCaseId id = caseId(i);
         std::ostringstream label;
         label << "case" << i << "/seed0x" << std::hex << id.seed
               << std::dec << "/cfg" << id.config;
@@ -358,10 +365,7 @@ main(int argc, char **argv)
             failures.push_back({results[i].id, results[i].summary()});
         } else {
             // Timed out before the case result was recorded.
-            const FuzzCaseId id{
-                caseSeed(fopt.master_seed, i),
-                static_cast<unsigned>(i % fopt.num_configs),
-                full_prefix, 0xffffffffu};
+            const FuzzCaseId id = caseId(i);
             failures.push_back({id, out.label + ": " + out.error});
         }
     }

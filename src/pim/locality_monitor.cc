@@ -74,25 +74,29 @@ LocalityMonitor::lookupForPei(Addr block)
 void
 LocalityMonitor::insertOrPromote(Addr block, bool from_pim)
 {
-    if (Entry *e = find(block)) {
-        e->last_use = ++use_clock;
-        if (!from_pim)
-            e->ignore = false; // demand accesses clear the flag
-        return;
-    }
-    // Allocate: LRU victim within the set.
+    // One pass over the set finds the hit, else the allocation
+    // victim: the first invalid entry, else the first LRU entry.
     Entry *base = &array[static_cast<std::size_t>(setOf(block)) * ways];
-    Entry *victim = &base[0];
+    const std::uint32_t tag = tagOf(block);
+    Entry *invalid = nullptr;
+    Entry *lru = &base[0];
     for (unsigned w = 0; w < ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
+        Entry &e = base[w];
+        if (!e.valid) {
+            if (!invalid)
+                invalid = &e;
+        } else if (e.partial_tag == tag) {
+            e.last_use = ++use_clock;
+            if (!from_pim)
+                e.ignore = false; // demand accesses clear the flag
+            return;
+        } else if (e.last_use < lru->last_use) {
+            lru = &e;
         }
-        if (base[w].last_use < victim->last_use)
-            victim = &base[w];
     }
+    Entry *victim = invalid ? invalid : lru;
     victim->valid = true;
-    victim->partial_tag = tagOf(block);
+    victim->partial_tag = tag;
     victim->ignore = from_pim && use_ignore_flag;
     victim->last_use = ++use_clock;
 }

@@ -87,7 +87,7 @@ struct SystemConfig
 
     /**
      * A proportionally scaled configuration for fast benchmarking:
-     * same structure, smaller caches (2 MB L3) and one HMC, so every
+     * same structure, smaller caches (1 MB L3) and one HMC, so every
      * experiment preserves its working-set/cache ratio while running
      * in seconds.
      */

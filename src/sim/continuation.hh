@@ -20,12 +20,23 @@
  *    state.
  *  - InlineFunction is move-only; moving relocates the closure into
  *    the destination buffer and leaves the source null.
+ *
+ * Cost rules for the per-event path:
+ *  - A trivially copyable closure (nearly every stage closure is
+ *    `{this, handle}`) has no relocate thunk: a move is a fixed-size
+ *    byte copy of the whole inline buffer, which the constructor
+ *    zeroes first so the copy never reads indeterminate bytes.
+ *  - A trivially destructible closure has no destroy thunk: reset()
+ *    just drops it.
+ *  - Any other closure (e.g. one capturing a nested InlineFunction or
+ *    a shared_ptr) keeps both thunks, called through the ops table.
  */
 
 #ifndef PEISIM_SIM_CONTINUATION_HH
 #define PEISIM_SIM_CONTINUATION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -69,6 +80,11 @@ class InlineFunction<R(Args...), Capacity>
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "closure must be nothrow-move-constructible so queue "
                       "and pool relocation cannot throw");
+        // A byte-copied closure's buffer is zeroed first, so the
+        // full-buffer copy in moveFrom() never reads indeterminate
+        // bytes (tail or padding).
+        if constexpr (std::is_trivially_copyable_v<Fn>)
+            std::memset(storage, 0, Capacity);
         ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
         ops = &OpsFor<Fn>::table;
     }
@@ -111,8 +127,10 @@ class InlineFunction<R(Args...), Capacity>
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
-        /** Move-construct src's closure into dst, then destroy src. */
+        /** Move-construct src's closure into dst, then destroy src;
+         *  null for a trivially copyable closure (byte-copied). */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** Destroy the closure; null if trivially destructible. */
         void (*destroy)(void *) noexcept;
     };
 
@@ -135,14 +153,18 @@ class InlineFunction<R(Args...), Capacity>
 
         static void destroy(void *s) noexcept { static_cast<Fn *>(s)->~Fn(); }
 
-        static constexpr Ops table{&invoke, &relocate, &destroy};
+        static constexpr Ops table{
+            &invoke,
+            std::is_trivially_copyable_v<Fn> ? nullptr : &relocate,
+            std::is_trivially_destructible_v<Fn> ? nullptr : &destroy};
     };
 
     void
     reset() noexcept
     {
         if (ops) {
-            ops->destroy(storage);
+            if (ops->destroy)
+                ops->destroy(storage);
             ops = nullptr;
         }
     }
@@ -151,7 +173,10 @@ class InlineFunction<R(Args...), Capacity>
     moveFrom(InlineFunction &other) noexcept
     {
         if (other.ops) {
-            other.ops->relocate(storage, other.storage);
+            if (other.ops->relocate)
+                other.ops->relocate(storage, other.storage);
+            else
+                std::memcpy(storage, other.storage, Capacity);
             ops = std::exchange(other.ops, nullptr);
         }
     }

@@ -10,7 +10,13 @@
  * addressed by 32-bit slot; arena slots are recycled through a
  * freelist and the callables are allocation-free InlineFunctions, so
  * a steady-state schedule/execute cycle touches the heap allocator
- * zero times.  Ordering uses two structures:
+ * zero times.  schedule() takes its continuation by rvalue reference
+ * and moves it straight into its arena slot, and an event runs in
+ * place in that slot: arena chunks never move, and the slot stays
+ * live (so it cannot be reused) until its callback returns, even if
+ * the callback schedules enough events to grow the arena.  A
+ * `{this, handle}` closure is therefore byte-copied once on its way
+ * in and never again.  Ordering uses two structures:
  *
  *  - a ring of ring_ticks one-tick buckets covering
  *    [now, now + ring_ticks).  Each bucket is an intrusive FIFO of
@@ -104,14 +110,14 @@ class EventQueue
 
     /** Schedule @p fn to run @p delay ticks from now. */
     void
-    schedule(Ticks delay, Continuation fn)
+    schedule(Ticks delay, Continuation &&fn)
     {
         scheduleAt(cur_tick + delay, std::move(fn));
     }
 
     /** Schedule @p fn at absolute time @p when (>= now). */
     void
-    scheduleAt(Tick when, Continuation fn)
+    scheduleAt(Tick when, Continuation &&fn)
     {
         panic_if(when < cur_tick,
                  "scheduling event in the past (%llu < %llu)",
@@ -298,8 +304,9 @@ class EventQueue
   private:
     /**
      * Pop and execute the next event if its tick is <= @p limit.
-     * The callback may schedule new events, so it is detached from
-     * the queue before it runs.
+     * The event is unlinked from the ring or heap before it runs,
+     * since its callback may schedule new events; the arena runs the
+     * callback in place and frees the slot afterwards.
      * @return false if no event is due by @p limit.
      */
     bool
@@ -337,9 +344,8 @@ class EventQueue
             --ring_count;
             cur_tick = ring_when;
         }
-        Continuation fn = std::move(arena[slot]);
+        arena[slot]();
         arena.erase(slot);
-        fn();
 #endif
         ++executed_count;
         if (probe && executed_count % probe_every == 0)

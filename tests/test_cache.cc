@@ -271,6 +271,54 @@ TEST_F(CacheFixture, LruVictimIsLeastRecentlyUsed)
     EXPECT_EQ(v.block, b);
 }
 
+TEST(CacheArray, FindOrVictimMatchesFindThenVictim)
+{
+    // 4 sets x 4 ways over 32 blocks: sets fill up, get holes from
+    // invalidations, and see hits, so every branch of the fused
+    // lookup is compared against find() then victim() on a twin.
+    constexpr unsigned sets = 4, ways = 4;
+    CacheArray fused(sets * ways * block_size, ways);
+    CacheArray twin(sets * ways * block_size, ways);
+    // An empty set's victim is its way 0.
+    std::vector<const CacheLine *> fused_base, twin_base;
+    for (Addr s = 0; s < sets; ++s) {
+        fused_base.push_back(&fused.victim(s));
+        twin_base.push_back(&twin.victim(s));
+    }
+
+    Rng rng(42);
+    int hits = 0, invalid_victims = 0, lru_victims = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const Addr block = rng.below(32);
+        const unsigned set = fused.setIndex(block);
+        bool hit = false;
+        CacheLine &f = fused.findOrVictim(block, hit);
+        CacheLine *t = twin.find(block);
+        CacheLine &tv = t ? *t : twin.victim(block);
+        ASSERT_EQ(hit, t != nullptr) << "step " << i;
+        ASSERT_EQ(&f - fused_base[set], &tv - twin_base[set])
+            << "step " << i << ", block " << block;
+
+        if (hit) {
+            ++hits;
+            if (rng.chance(0.25)) {
+                fused.invalidate(f);
+                twin.invalidate(tv);
+            } else {
+                fused.touch(f);
+                twin.touch(tv);
+            }
+        } else {
+            ++(f.valid ? lru_victims : invalid_victims);
+            fused.fill(f, block, MesiState::Shared);
+            twin.fill(tv, block, MesiState::Shared);
+        }
+    }
+    EXPECT_GT(hits, 1000);
+    EXPECT_GT(invalid_victims, 1000);
+    EXPECT_GT(lru_victims, 1000);
+}
+
 class CacheGeometry
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
 {
@@ -308,6 +356,61 @@ TEST_P(CacheGeometry, RandomTrafficKeepsInvariants)
     while (eq.runOne()) {}
     EXPECT_EQ(done, issued);
     caches.checkInvariants();
+}
+
+TEST_P(CacheGeometry, TinyMshrFilesFireEveryCallbackOnce)
+{
+    // Two core MSHRs and three L3 MSHRs under random traffic force
+    // stalls, coalescing and out-of-order releases from the packed
+    // MSHR files; back-invalidations and back-writebacks walk the
+    // sharer vectors and park behind L3 misses.
+    const auto [ways, cores] = GetParam();
+    StatRegistry stats;
+    ShardedQueue sq;
+    EventQueue &eq = sq.host();
+    HmcConfig hmc_cfg;
+    hmc_cfg.num_cubes = 1;
+    hmc_cfg.vaults_per_cube = 4;
+    HmcBackend hmc(sq, hmc_cfg, stats);
+    CacheConfig cfg;
+    cfg.l1_bytes = 2 << 10;
+    cfg.l1_ways = ways;
+    cfg.l2_bytes = 8 << 10;
+    cfg.l2_ways = ways;
+    cfg.l3_bytes = 32 << 10;
+    cfg.l3_ways = ways;
+    cfg.core_mshrs = 2;
+    cfg.l3_mshrs = 3;
+    CacheHierarchy caches(eq, cfg, cores, hmc, stats);
+
+    Rng rng(ways * 1000 + cores);
+    constexpr int ops = 3000;
+    std::vector<int> fired(ops, 0);
+    for (int i = 0; i < ops; ++i) {
+        // Half the traffic on 16 hot blocks (coalescing), half over
+        // 1024 blocks (twice the L3: evictions and back-invalidates).
+        const Addr block = rng.chance(0.5) ? rng.below(16)
+                                           : 16 + rng.below(1024);
+        const Addr paddr = 0x100000 + 64 * block + 8 * rng.below(8);
+        int &slot = fired[i];
+        auto cb = [&slot] { ++slot; };
+        const std::uint64_t kind = rng.below(16);
+        if (kind == 0)
+            caches.backInvalidate(paddr, cb);
+        else if (kind == 1)
+            caches.backWriteback(paddr, cb);
+        else
+            caches.access(static_cast<unsigned>(rng.below(cores)), paddr,
+                          rng.chance(0.4), cb);
+        if (i % 5 == 0)
+            eq.runOne();
+    }
+    while (eq.runOne()) {}
+    for (int i = 0; i < ops; ++i)
+        ASSERT_EQ(fired[i], 1) << "callback " << i;
+    EXPECT_TRUE(caches.invariantViolation().empty())
+        << caches.invariantViolation();
+    EXPECT_TRUE(stats.audit().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

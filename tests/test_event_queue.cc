@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <functional> // stdfunction-allowed: naive reference queue under test
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/continuation.hh"
@@ -418,6 +420,104 @@ TEST(Continuation, FitsDocumentedBudgetAndForwardsArgs)
     InlineFunction<int(int), 16> addk(
         [base = 40](int x) { return base + x; });
     EXPECT_EQ(addk(2), 42);
+}
+
+TEST(Continuation, StageClosureIsByteCopiedIntact)
+{
+    // The usual `{this, handle}` stage closure is trivially copyable,
+    // so moves are byte copies of the inline buffer.
+    int out = 0;
+    auto stage = [self = &out, h = 0xbeefu] {
+        *self = static_cast<int>(h);
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(stage)>);
+    Continuation a(stage);
+    Continuation b = std::move(a);
+    Continuation c;
+    c = std::move(b);
+    EXPECT_FALSE(static_cast<bool>(a));
+    EXPECT_FALSE(static_cast<bool>(b));
+    c();
+    EXPECT_EQ(out, 0xbeef);
+}
+
+TEST(Continuation, NonTrivialClosureRelocatesAndDestroysExactlyOnce)
+{
+    // Counts live copies of itself: a relocation that copied instead
+    // of moving, or a missed or doubled destroy, shows up here.
+    struct Tracker
+    {
+        int *live;
+        explicit Tracker(int *l) : live(l) { ++*live; }
+        Tracker(Tracker &&o) noexcept : live(o.live) { ++*live; }
+        ~Tracker() { --*live; }
+    };
+
+    int live = 0;
+    int seen = 0;
+    auto make = [&live, &seen](std::shared_ptr<int> token) {
+        return [token = std::move(token), t = Tracker(&live), &seen] {
+            seen += *token;
+        };
+    };
+    static_assert(!std::is_trivially_copyable_v<decltype(make(nullptr))>);
+
+    auto token = std::make_shared<int>(5);
+    const std::weak_ptr<int> watch = token;
+    Continuation a(make(std::move(token)));
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(watch.use_count(), 1);
+    Continuation b = std::move(a);
+    // Assigning over a held closure destroys the old one first.
+    Continuation c(make(std::make_shared<int>(1)));
+    EXPECT_EQ(live, 2);
+    c = std::move(b);
+    EXPECT_FALSE(static_cast<bool>(a));
+    EXPECT_FALSE(static_cast<bool>(b));
+    EXPECT_EQ(watch.use_count(), 1);
+    EXPECT_EQ(live, 1);
+
+    // Through the event queue: in, invoked in place, destroyed.
+    EventQueue eq;
+    eq.schedule(1, std::move(c));
+    EXPECT_FALSE(static_cast<bool>(c));
+    EXPECT_EQ(watch.use_count(), 1);
+    EXPECT_EQ(live, 1);
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(seen, 5);
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(live, 0);
+}
+
+TEST(EventQueue, InPlaceCallbackSurvivesArenaGrowth)
+{
+    // The first event schedules more than two arena chunks of events
+    // (256 slots each) while it runs in its own slot, then reads its
+    // captures back: its slot must neither move nor be reused.
+    constexpr int fanout = 600;
+    EventQueue eq;
+    std::vector<int> ran(fanout, 0);
+    bool checked = false;
+    const std::uint64_t k1 = 0x0123456789abcdefULL;
+    const std::uint64_t k2 = 0xfedcba9876543210ULL;
+    eq.schedule(1, [&eq, &ran, &checked, k1, k2] {
+        for (int i = 0; i < fanout; ++i)
+            eq.schedule(1 + i % 3, [&ran, i] { ++ran[i]; });
+        EXPECT_EQ(k1, 0x0123456789abcdefULL);
+        EXPECT_EQ(k2, 0xfedcba9876543210ULL);
+        EXPECT_EQ(ran.size(), static_cast<std::size_t>(fanout));
+        checked = true;
+    });
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_TRUE(checked);
+#ifndef PEISIM_REFERENCE_QUEUE
+    EXPECT_GT(eq.arenaCapacity(), 512u);
+#endif
+    EXPECT_EQ(eq.size(), static_cast<std::size_t>(fanout));
+    eq.run();
+    for (int i = 0; i < fanout; ++i)
+        ASSERT_EQ(ran[i], 1) << "event " << i;
+    EXPECT_EQ(eq.executedCount(), static_cast<std::uint64_t>(fanout + 1));
 }
 
 Task

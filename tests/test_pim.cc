@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "fixture.hh"
 #include "pim/locality_monitor.hh"
@@ -447,6 +450,147 @@ TEST(LocalityMonitorTest, AliasedPimTouchSharesOneIgnoreFlag)
     EXPECT_EQ(mon.hits() + mon.misses() + mon.ignoredHits(),
               mon.lookups());
     EXPECT_TRUE(stats.audit().empty());
+}
+
+/**
+ * Reference locality monitor: find() for the hit, then a separate
+ * scan of the set for the allocation victim.  The monitor's one-pass
+ * insertOrPromote() must agree with it on every outcome.
+ */
+class TwoPassMonitor
+{
+  public:
+    TwoPassMonitor(unsigned sets, unsigned ways, unsigned tag_bits,
+                   bool use_ignore_flag)
+        : sets(sets), ways(ways), set_bits(floorLog2(sets)),
+          tag_bits(tag_bits), use_ignore_flag(use_ignore_flag),
+          array(static_cast<std::size_t>(sets) * ways)
+    {}
+
+    bool
+    lookupForPei(Addr block)
+    {
+        ++lookups;
+        Entry *e = find(block);
+        if (!e) {
+            ++misses;
+            return false;
+        }
+        if (use_ignore_flag && e->ignore) {
+            e->ignore = false;
+            ++ignored_hits;
+            return false;
+        }
+        ++hits;
+        return true;
+    }
+
+    void
+    insertOrPromote(Addr block, bool from_pim)
+    {
+        if (Entry *e = find(block)) {
+            e->last_use = ++use_clock;
+            if (!from_pim)
+                e->ignore = false;
+            return;
+        }
+        Entry *base = setBase(block);
+        Entry *victim = &base[0];
+        for (unsigned w = 0; w < ways; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].last_use < victim->last_use)
+                victim = &base[w];
+        }
+        victim->valid = true;
+        victim->partial_tag = tagOf(block);
+        victim->ignore = from_pim && use_ignore_flag;
+        victim->last_use = ++use_clock;
+    }
+
+    std::uint64_t lookups = 0, hits = 0, misses = 0, ignored_hits = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        bool ignore = false;
+        std::uint32_t partial_tag = 0;
+        std::uint64_t last_use = 0;
+    };
+
+    Entry *
+    setBase(Addr block)
+    {
+        return &array[static_cast<std::size_t>(block & (sets - 1)) * ways];
+    }
+
+    std::uint32_t
+    tagOf(Addr block) const
+    {
+        return static_cast<std::uint32_t>(
+            foldedXor(block >> set_bits, tag_bits));
+    }
+
+    Entry *
+    find(Addr block)
+    {
+        Entry *base = setBase(block);
+        const std::uint32_t tag = tagOf(block);
+        for (unsigned w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].partial_tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    unsigned sets, ways, set_bits, tag_bits;
+    bool use_ignore_flag;
+    std::uint64_t use_clock = 0;
+    std::vector<Entry> array;
+};
+
+TEST(LocalityMonitorTest, MatchesTwoPassModelOnSeededStream)
+{
+    // 16 sets x 4 ways with 4-bit partial tags over 512 blocks: sets
+    // fill, evict by LRU and alias, under both ignore-flag settings.
+    for (const bool ignore : {true, false}) {
+        StatRegistry stats;
+        LocalityMonitor mon(16, 4, stats, 4, ignore, "m10");
+        TwoPassMonitor ref(16, 4, 4, ignore);
+        Rng rng(ignore ? 7 : 8);
+        std::uint64_t hits_seen = 0;
+        for (int i = 0; i < 50000; ++i) {
+            const Addr block = rng.below(512);
+            switch (rng.below(3)) {
+              case 0:
+                mon.onL3Access(block);
+                ref.insertOrPromote(block, false);
+                break;
+              case 1:
+                mon.onPimIssue(block);
+                ref.insertOrPromote(block, true);
+                break;
+              default: {
+                const bool got = mon.lookupForPei(block);
+                ASSERT_EQ(got, ref.lookupForPei(block))
+                    << "step " << i << ", block " << block;
+                hits_seen += got;
+                break;
+              }
+            }
+        }
+        EXPECT_EQ(mon.lookups(), ref.lookups);
+        EXPECT_EQ(mon.hits(), ref.hits);
+        EXPECT_EQ(mon.misses(), ref.misses);
+        EXPECT_EQ(mon.ignoredHits(), ref.ignored_hits);
+        EXPECT_GT(hits_seen, 1000u);
+        EXPECT_GT(mon.misses(), 1000u);
+        EXPECT_EQ(mon.ignoredHits() > 0, ignore);
+        EXPECT_TRUE(stats.audit().empty());
+    }
 }
 
 // ---------------------------------------------- Balanced dispatch §7.4
