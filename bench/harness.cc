@@ -66,15 +66,13 @@ flushAtExit()
 RunHandle
 submitJob(const std::string &label, SimJob &&sim)
 {
-    // --mem-backend / --coherence / --shards / --topology / --cubes /
-    // --pmu-shards apply to every submitted simulation (custom jobs
-    // construct their own Systems and opt in themselves).
+    // --mem-backend / --coherence / --topology / --cubes / --pmu-shards
+    // apply to every submitted simulation (custom jobs construct
+    // their own Systems and opt in themselves).
     if (sim.mem_backend.empty())
         sim.mem_backend = sweep_opts.mem_backend;
     if (sim.coherence.empty())
         sim.coherence = sweep_opts.coherence;
-    if (!sim.shards)
-        sim.shards = sweep_opts.shards;
     if (sim.topology.empty())
         sim.topology = sweep_opts.topology;
     if (!sim.cubes)

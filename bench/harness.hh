@@ -72,9 +72,9 @@ const RunResult &result(RunHandle h);
 
 /**
  * The harness-level sweep options parsed by benchInit().  Custom
- * jobs construct their own Systems, so `--mem-backend` / `--shards`
- * are not applied to them automatically — they read the options here
- * and opt in themselves.
+ * jobs construct their own Systems, so `--mem-backend` /
+ * `--coherence` are not applied to them automatically — they read the
+ * options here and opt in themselves.
  */
 const SweepOptions &sweepOptions();
 

@@ -38,7 +38,6 @@
 #include <cstring>
 #include <functional> // stdfunction-allowed: naive reference queue baseline
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -53,7 +52,6 @@
 #include "runtime/report.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_queue.hh"
 
 namespace
 {
@@ -450,95 +448,6 @@ hotpathEndToEnd()
     return static_cast<double>(sys.eventQueue().executedCount()) / dt;
 }
 
-// ---- shard-scaling trajectory (BENCH_hotpath.json) ----
-
-/**
- * A self-rescheduling event chain pinned to one shard's queue.  Each
- * step burns one event and reschedules 1..16 ticks out via an LCG, so
- * a population of chains keeps every shard busy inside any horizon
- * without cross-shard traffic — the pure engine-throughput case.
- */
-struct ShardChain
-{
-    EventQueue *q;
-    std::uint64_t remaining;
-    std::uint64_t mix;
-};
-
-void
-shardChainStep(ShardChain *c)
-{
-    if (c->remaining == 0)
-        return;
-    --c->remaining;
-    c->mix = c->mix * 6364136223846793005ULL + 1;
-    const Ticks d = static_cast<Ticks>(1 + (c->mix >> 60));
-    c->q->scheduleAt(c->q->now() + d, [c] { shardChainStep(c); });
-}
-
-/**
- * Event-storm throughput at @p shards shards: ~@p total events split
- * evenly across shards as self-rescheduling chains, driven through
- * the epoch loop.  shards == 1 exercises the same code path inline on
- * the host queue — the sequential baseline of the scaling curve.
- */
-double
-shardStorm(unsigned shards, std::uint64_t total)
-{
-    ShardedQueue sq(shards);
-    sq.setLookahead(256); // generous horizon: barrier cost amortizes
-
-    constexpr unsigned nodes_per_shard = 64;
-    std::vector<std::unique_ptr<ShardChain>> chains;
-    chains.reserve(static_cast<std::size_t>(shards) * nodes_per_shard);
-    const std::uint64_t budget =
-        total / (static_cast<std::uint64_t>(shards) * nodes_per_shard);
-    for (unsigned s = 0; s < shards; ++s) {
-        for (unsigned i = 0; i < nodes_per_shard; ++i) {
-            chains.push_back(std::make_unique<ShardChain>(
-                ShardChain{&sq.shard(s), budget,
-                           s * 1000003ULL + i * 7919ULL + 1}));
-            ShardChain *c = chains.back().get();
-            sq.scheduleOn(s, i, [c] { shardChainStep(c); });
-        }
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    while (sq.runEpoch() != 0) {}
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(sq.executedCount()) / dt;
-}
-
-/**
- * Full-stack locality-aware PEI run at @p shards shards (the fig06
- * inner loop on the scaled machine).  A modest epoch window batches
- * more events per barrier; it only loosens the zero-latency
- * completion edges, which this wall-clock measurement never reads.
- */
-double
-shardEndToEnd(unsigned shards)
-{
-    SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
-    cfg.shards = shards;
-    cfg.shard_window = shards > 1 ? 64 : 0;
-    System sys(cfg);
-    Runtime rt(sys);
-    const std::uint64_t n = 1 << 15;
-    const Addr array = rt.allocArray<std::uint64_t>(n);
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) {
-                        return hotpathKernel(ctx, array, n, tid);
-                    });
-    const auto t0 = std::chrono::steady_clock::now();
-    rt.run();
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(sys.shardedQueue().executedCount()) / dt;
-}
-
 /**
  * Measure the hot-path trajectory and write it as stats-v2 JSON.
  * The pre-refactor numbers are baked in as the fixed reference
@@ -561,20 +470,6 @@ writeHotpathJson(const std::string &path)
         e2e = std::max(e2e, hotpathEndToEnd());
     }
 
-    // Shard-scaling curve: the same storm/end-to-end work at 1, 2, 4
-    // and 8 shards (1 = the sequential engine, the scaling baseline).
-    const unsigned shard_counts[] = {1, 2, 4, 8};
-    double storm_at[4] = {0, 0, 0, 0};
-    double e2e_at[4] = {0, 0, 0, 0};
-    for (int rep = 0; rep < 2; ++rep) {
-        for (int i = 0; i < 4; ++i) {
-            storm_at[i] = std::max(
-                storm_at[i], shardStorm(shard_counts[i], 8 << 20));
-            e2e_at[i] =
-                std::max(e2e_at[i], shardEndToEnd(shard_counts[i]));
-        }
-    }
-
     std::ostringstream os;
     os << "{\"tool\":\"micro_substrate_hotpath\",\"hotpath\":{"
        << "\"storm_events_per_sec\":" << storm << ","
@@ -586,34 +481,13 @@ writeHotpathJson(const std::string &path)
        << "\"end_to_end_events_per_sec\":" << pre_end_to_end << "},"
        << "\"speedup_vs_pre_refactor\":{"
        << "\"storm\":" << storm / pre_storm << ","
-       << "\"end_to_end\":" << e2e / pre_end_to_end << "},"
-       << "\"shard_scaling\":{";
-    for (int i = 0; i < 4; ++i)
-        os << (i ? "," : "") << "\"storm_events_per_sec_at_"
-           << shard_counts[i] << "\":" << storm_at[i];
-    for (int i = 0; i < 4; ++i)
-        os << ",\"end_to_end_events_per_sec_at_" << shard_counts[i]
-           << "\":" << e2e_at[i];
-    // Host core count contextualizes the curve: with fewer cores
-    // than shards the workers time-slice one another and the curve
-    // measures oversubscription overhead, not scaling.
-    os << ",\"storm_speedup_at_4_shards\":" << storm_at[2] / storm_at[0]
-       << ",\"end_to_end_speedup_at_4_shards\":"
-       << e2e_at[2] / e2e_at[0]
-       << ",\"host_cores\":" << std::thread::hardware_concurrency()
-       << "}}}";
+       << "\"end_to_end\":" << e2e / pre_end_to_end << "}}}";
     writeStatsJson(path, os.str());
     std::printf("hotpath: storm %.0f ev/s (%.2fx), churn %.0f ev/s, "
                 "naive-queue storm %.0f ev/s, end-to-end %.0f ev/s "
                 "(%.2fx)\n",
                 storm, storm / pre_storm, churn, naive, e2e,
                 e2e / pre_end_to_end);
-    for (int i = 0; i < 4; ++i)
-        std::printf("hotpath: %u shard(s): storm %.0f ev/s (%.2fx), "
-                    "end-to-end %.0f ev/s (%.2fx)\n",
-                    shard_counts[i], storm_at[i],
-                    storm_at[i] / storm_at[0], e2e_at[i],
-                    e2e_at[i] / e2e_at[0]);
     std::printf("stats-v2: wrote %s\n", path.c_str());
 }
 
@@ -637,13 +511,12 @@ struct BackendProfile
 BackendProfile
 profileBackend(const std::string &name)
 {
-    ShardedQueue sq; // single shard: the classic sequential engine
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     StatRegistry stats;
     MemBackendConfig cfg;
     cfg.phys_bytes = 64ULL << 20;
     std::unique_ptr<MemoryBackend> mem =
-        createMemoryBackend(name, sq, cfg, stats);
+        createMemoryBackend(name, eq, cfg, stats);
 
     BackendProfile p;
     p.name = name;

@@ -95,14 +95,6 @@ struct FuzzOptions
     unsigned pei_batch = 0;
     /** Force a vault-PCU queue depth; -1 = fuzzed per config. */
     int queue_depth = -1;
-    /**
-     * Event-queue shards per simulated System (`--shards`).  1 = the
-     * sequential engine; N > 1 runs every mode of every case on the
-     * sharded engine, making the whole differential suite a
-     * sharded-vs-golden equivalence check (architectural results are
-     * interleaving-independent by generator construction).
-     */
-    unsigned shards = 1;
 };
 
 /** One mode's divergence/violation. */

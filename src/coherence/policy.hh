@@ -63,7 +63,7 @@ struct CoherenceConfig
 
 /**
  * One coherence policy instance, owned by the PMU.  All hooks run on
- * the host shard's event queue (the PMU's), so implementations need
+ * the System's one event queue (the PMU's), so implementations need
  * no synchronization of their own.
  */
 class CoherencePolicy

@@ -29,9 +29,7 @@ collectRun(System &sys, RunResult &r, double wall_seconds,
 
     r.ticks = sys.now();
     r.wall_seconds = wall_seconds;
-    // Sum over every shard (identical to the host queue's count when
-    // shards == 1, so sequential run records are unchanged).
-    r.events = sys.shardedQueue().executedCount();
+    r.events = sys.eventQueue().executedCount();
     r.peis_host = sys.pmu().peisHost();
     r.peis_mem = sys.pmu().peisMem();
     r.offchip_req_bytes = sys.mem().requestBytes();
@@ -60,8 +58,6 @@ runSimJob(const SimJob &job, JobCtx &ctx)
         cfg.mem_backend = job.mem_backend;
     if (!job.coherence.empty())
         cfg.pim.coherence.policy = job.coherence;
-    if (job.shards)
-        cfg.shards = job.shards;
     if (!job.topology.empty()) {
         const bool known = parseTopology(job.topology, cfg.hmc.topology);
         fatal_if(!known, "job '%s': unknown topology '%s'",

@@ -94,9 +94,6 @@ struct SimJob
     /** Coherence-policy registry key; empty = the config's default
      *  (eager).  Applied before @ref tweak, like mem_backend. */
     std::string coherence;
-    /** Event-queue shards; 0 = the config's default (sequential).
-     *  Applied before @ref tweak so a tweak can still override. */
-    unsigned shards = 0;
     /** Interconnect topology key; empty = the config's default
      *  (chain).  Applied before @ref tweak, like mem_backend. */
     std::string topology;

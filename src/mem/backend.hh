@@ -39,8 +39,6 @@
 namespace pei
 {
 
-class ShardedQueue;
-
 /**
  * A timing port into one memory partition (an HMC vault, an ideal
  * slice): the interface a memory-side PCU uses to reach "its" DRAM
@@ -129,31 +127,6 @@ class MemoryBackend
 
     virtual const AddrMap &addrMap() const = 0;
 
-    // --- event-queue sharding (sim/sharded_queue.hh) -------------
-
-    /**
-     * Shardable memory partitions this backend maps onto worker
-     * shards (HMC vaults, DDR channels).  0 means the backend runs
-     * entirely on the host shard even under --shards=N (the ideal
-     * backend: no internal queueing worth parallelizing).
-     */
-    virtual unsigned memPartitions() const { return 0; }
-
-    /**
-     * Minimum latency in ticks of any mailboxed host-to-partition
-     * edge — the conservative lookahead the ShardedQueue runs with.
-     * 0 degenerates to single-tick epochs (correct, slow).
-     */
-    virtual Ticks minCrossShardLatency() const { return 0; }
-
-    /**
-     * Event queue on which PIM unit @p unit executes: the PMU
-     * constructs that unit's memory-side PCU against this queue so
-     * PCU state lives on the unit's shard.  Only meaningful when
-     * supportsPim().
-     */
-    virtual EventQueue &pimUnitQueue(unsigned unit) = 0;
-
     // --- link/flit accounting (§7.4 balanced dispatch + probes) ---
 
     /** EMA of request-link flits (balanced dispatch input). */
@@ -190,7 +163,7 @@ class MemoryBackend
 struct MemBackendConfig;
 
 using MemBackendFactory = std::unique_ptr<MemoryBackend> (*)(
-    ShardedQueue &sq, const MemBackendConfig &cfg, StatRegistry &stats);
+    EventQueue &eq, const MemBackendConfig &cfg, StatRegistry &stats);
 
 /**
  * Register @p factory under @p name (extension hook; the built-in
@@ -206,12 +179,10 @@ std::vector<std::string> memoryBackendNames();
 /**
  * Construct the backend registered under @p name; fatal on an
  * unknown name (the error lists the registered backends).  The
- * backend schedules host-side stages on sq.host() and maps its
- * partitions onto the worker shards via sq.shardFor(); with a
- * single-shard queue this is exactly the old sequential wiring.
+ * backend schedules every stage on @p eq.
  */
 std::unique_ptr<MemoryBackend> createMemoryBackend(
-    const std::string &name, ShardedQueue &sq, const MemBackendConfig &cfg,
+    const std::string &name, EventQueue &eq, const MemBackendConfig &cfg,
     StatRegistry &stats);
 
 } // namespace pei

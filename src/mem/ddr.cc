@@ -233,22 +233,16 @@ DdrChannel::trySchedule()
     armRetry(earliest);
 }
 
-DdrBackend::DdrBackend(ShardedQueue &sq, const DdrConfig &cfg,
+DdrBackend::DdrBackend(EventQueue &eq, const DdrConfig &cfg,
                        StatRegistry &stats, std::uint64_t phys_bytes)
-    : sq(sq), eq(sq.host()), cfg(cfg),
+    : eq(eq), cfg(cfg),
       map(1, cfg.channels, cfg.bank_groups * cfg.banks_per_group,
           cfg.row_bytes, phys_bytes)
 {
-    // Same burst computation as DdrChannel: one block over the bus.
-    t_burst =
-        nsToTicks(static_cast<double>(block_size) / cfg.chan_gbps);
-
     channels.reserve(cfg.channels);
-    // Each channel's FR-FCFS state, retry events and stats live on
-    // its shard's queue (single-writer discipline per Counter).
     for (unsigned c = 0; c < cfg.channels; ++c)
-        channels.push_back(std::make_unique<DdrChannel>(
-            sq.shard(sq.shardFor(c)), cfg, map, c, stats));
+        channels.push_back(
+            std::make_unique<DdrChannel>(eq, cfg, map, c, stats));
 
     stats.add("ddr.reads", &stat_reads);
     stats.add("ddr.writes", &stat_writes);
@@ -262,22 +256,8 @@ DdrBackend::readBlock(Addr paddr, Callback cb)
     const MemLoc loc = map.decode(paddr);
     const std::uint32_t txn =
         read_txns.emplace(ReadTxn{eq.now(), std::move(cb)});
-    const unsigned c = loc.globalVault;
-    if (!sq.parallel()) {
-        // Exact sequential path: the channel is driven synchronously
-        // on the host queue, bit-identical to the pre-sharding code.
-        channels[c]->accessBlock(paddr, false,
-                                 [this, txn] { readDone(txn); });
-        return;
-    }
-    // Both directions of the host<->channel hop are zero-latency
-    // (it used to be a plain call), so they take the clamped mailbox
-    // path; the worker-side lambda carries only plain values.
-    sq.post(sq.shardFor(c), Continuation([this, txn, c, paddr] {
-        channels[c]->accessBlock(paddr, false, [this, txn] {
-            completeOnHost([this, txn] { readDone(txn); });
-        });
-    }));
+    channels[loc.globalVault]->accessBlock(paddr, false,
+                                           [this, txn] { readDone(txn); });
 }
 
 void
@@ -296,45 +276,14 @@ DdrBackend::writeBlock(Addr paddr, Callback cb)
 {
     ++stat_writes;
     const MemLoc loc = map.decode(paddr);
-    const unsigned c = loc.globalVault;
-    if (!sq.parallel()) {
-        // Exact sequential path, including the null-cb case: wrapping
-        // a null cb would add an event and change executed counts.
-        channels[c]->accessBlock(paddr, true, std::move(cb));
-        return;
-    }
-    // Park the host-side ack (if any) so the cross-shard lambda stays
-    // within the mailbox Continuation's inline budget.
-    const std::uint32_t txn =
-        cb ? write_txns.emplace(WriteTxn{std::move(cb)}) : no_write_ack;
-    sq.post(sq.shardFor(c), Continuation([this, txn, c, paddr] {
-        Callback done;
-        if (txn != no_write_ack)
-            done = [this, txn] {
-                completeOnHost([this, txn] { writeDone(txn); });
-            };
-        channels[c]->accessBlock(paddr, true, std::move(done));
-    }));
-}
-
-void
-DdrBackend::writeDone(std::uint32_t txn)
-{
-    Callback cb = std::move(write_txns[txn].cb);
-    write_txns.erase(txn);
-    cb();
+    // A null cb stays null: wrapping it would add an event.
+    channels[loc.globalVault]->accessBlock(paddr, true, std::move(cb));
 }
 
 MemPort &
 DdrBackend::pimUnitPort(unsigned unit)
 {
     panic("ddr backend has no PIM unit %u", unit);
-}
-
-EventQueue &
-DdrBackend::pimUnitQueue(unsigned unit)
-{
-    panic("ddr backend has no PIM unit %u (no queue)", unit);
 }
 
 void

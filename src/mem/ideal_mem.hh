@@ -22,7 +22,6 @@
 #include "mem/pim_iface.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_queue.hh"
 #include "sim/slot_pool.hh"
 
 namespace pei
@@ -67,12 +66,7 @@ class IdealBackend : public MemoryBackend
   public:
     using Callback = Continuation;
 
-    /**
-     * The ideal backend has no internal queueing worth
-     * parallelizing: it reports zero memPartitions() and runs
-     * entirely on the host shard even under --shards=N.
-     */
-    IdealBackend(ShardedQueue &sq, const IdealMemConfig &cfg,
+    IdealBackend(EventQueue &eq, const IdealMemConfig &cfg,
                  StatRegistry &stats, std::uint64_t phys_bytes = 0);
 
     const char *kind() const override { return "ideal"; }
@@ -90,8 +84,6 @@ class IdealBackend : public MemoryBackend
     void sendPim(PimPacket pkt, PimHandler::Respond cb) override;
 
     const AddrMap &addrMap() const override { return map; }
-
-    EventQueue &pimUnitQueue(unsigned) override { return eq; }
 
     std::uint64_t memReads() const override { return stat_reads.value(); }
     std::uint64_t memWrites() const override

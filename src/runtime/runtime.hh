@@ -90,8 +90,6 @@ class Runtime
     Tick
     run()
     {
-        if (sys.shardedQueue().parallel())
-            return runSharded();
         const Tick start = sys.now();
         EventQueue &eq = sys.eventQueue();
         std::uint64_t n = 0;
@@ -158,42 +156,6 @@ class Runtime
         ctxs.clear();
         fns.clear();
         finished = 0;
-    }
-
-    /**
-     * Epoch-driven variant of run() for --shards > 1: each
-     * runEpoch() advances every shard to a conservatively safe
-     * horizon and drains the cross-shard mailboxes at the barrier.
-     * runEpoch() == 0 means either every queue and mailbox is empty
-     * (deadlock if tasks remain) or the host shard broke on a stop
-     * request mid-epoch — the stop flag is re-checked before the
-     * deadlock panic so cancellation propagates as SimulationStopped
-     * exactly like the sequential loop.
-     */
-    Tick
-    runSharded()
-    {
-        const Tick start = sys.now();
-        ShardedQueue &sq = sys.shardedQueue();
-        while (!allDone()) {
-            if (sq.stopRequested())
-                throw SimulationStopped();
-            if (sq.runEpoch() == 0) {
-                if (sq.stopRequested())
-                    throw SimulationStopped();
-                panic_if(!allDone(),
-                         "simulation deadlock: %zu unfinished task(s) "
-                         "with every shard drained",
-                         unfinishedCount());
-            }
-        }
-        // Settle trailing events (posted writes, releases, ...).
-        while (sq.runEpoch() != 0) {
-            if (sq.stopRequested())
-                throw SimulationStopped();
-        }
-        releaseTasks();
-        return sys.now() - start;
     }
 
     std::size_t

@@ -16,9 +16,7 @@
  * pre-sampled trace; closed-loop mode uses one coroutine per client
  * (think, enqueue, await completion).  Workers park when the queues
  * are empty and are woken by a zero-delay event on every enqueue, so
- * scheduling stays deterministic and lost-wakeup-free.  All serving
- * logic runs on the host shard; only the kernels' memory traffic
- * crosses shards under --shards > 1.
+ * scheduling stays deterministic and lost-wakeup-free.
  *
  * Per-request latency stages (enqueue→admit→dispatch→retire) are
  * recorded in per-tenant stats-v2 histograms

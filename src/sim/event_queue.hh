@@ -32,9 +32,7 @@
  * heap top.  On equal ticks the heap top wins: it was scheduled while
  * now was at least ring_ticks earlier, hence before every event in
  * the ring bucket for that tick, so exact (tick, seq) FIFO order
- * holds without a seq in the ring.  The seed layout (a binary heap
- * whose nodes carry the continuation) can be re-enabled with the
- * PEISIM_REFERENCE_QUEUE CMake option for differential testing.
+ * holds without a seq in the ring.
  */
 
 #ifndef PEISIM_SIM_EVENT_QUEUE_HH
@@ -123,10 +121,6 @@ class EventQueue
                  "scheduling event in the past (%llu < %llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(cur_tick));
-#ifdef PEISIM_REFERENCE_QUEUE
-        events.push_back(Event{when, next_seq++, std::move(fn)});
-        std::push_heap(events.begin(), events.end(), Later{});
-#else
         const std::uint32_t slot = arena.emplace(std::move(fn));
         if (when - cur_tick >= ring_ticks) {
             overflow.push_back(Event{when, next_seq++, slot});
@@ -146,7 +140,6 @@ class EventQueue
         }
         bk.tail = slot;
         ++ring_count;
-#endif
     }
 
     /** True if no events are pending. */
@@ -156,26 +149,18 @@ class EventQueue
     std::size_t
     size() const
     {
-#ifdef PEISIM_REFERENCE_QUEUE
-        return events.size();
-#else
         return ring_count + overflow.size();
-#endif
     }
 
     /** Tick of the next pending event (max_tick if empty). */
     Tick
     nextEventTick() const
     {
-#ifdef PEISIM_REFERENCE_QUEUE
-        return events.empty() ? max_tick : events.front().when;
-#else
         std::uint32_t bucket = 0;
         const Tick ring_when = ringFront(bucket);
         if (!overflow.empty() && overflow.front().when <= ring_when)
             return overflow.front().when;
         return ring_when;
-#endif
     }
 
     /**
@@ -261,18 +246,14 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_count; }
 
     /**
-     * High-water continuation-arena size in slots (live + freelist);
-     * 0 under PEISIM_REFERENCE_QUEUE.  Exposes pool sizing to the
-     * hot-path benchmarks and pool-growth tests.
+     * High-water continuation-arena size in slots (live + freelist).
+     * Exposes pool sizing to the hot-path benchmarks and pool-growth
+     * tests.
      */
     std::uint32_t
     arenaCapacity() const
     {
-#ifdef PEISIM_REFERENCE_QUEUE
-        return 0;
-#else
         return arena.capacity();
-#endif
     }
 
     /**
@@ -312,17 +293,6 @@ class EventQueue
     bool
     runNext(Tick limit)
     {
-#ifdef PEISIM_REFERENCE_QUEUE
-        if (events.empty() || events.front().when > limit)
-            return false;
-        // pop_heap moves the front event to the back, where it can be
-        // moved from without casting away constness.
-        std::pop_heap(events.begin(), events.end(), Later{});
-        Event ev = std::move(events.back());
-        events.pop_back();
-        cur_tick = ev.when;
-        ev.fn();
-#else
         std::uint32_t bucket = 0;
         const Tick ring_when = ringFront(bucket);
         std::uint32_t slot = nil;
@@ -346,22 +316,12 @@ class EventQueue
         }
         arena[slot]();
         arena.erase(slot);
-#endif
         ++executed_count;
         if (probe && executed_count % probe_every == 0)
             probe();
         return true;
     }
 
-#ifdef PEISIM_REFERENCE_QUEUE
-    /** Seed layout: the continuation rides inside its heap node. */
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Continuation fn;
-    };
-#else
     /** POD heap node; the continuation lives in the slab arena. */
     struct Event
     {
@@ -369,7 +329,6 @@ class EventQueue
         std::uint64_t seq;
         std::uint32_t slot;
     };
-#endif
 
     /** Heap comparator: the earliest (tick, seq) event sits at the
      *  front of the std::*_heap-maintained vector. */
@@ -384,9 +343,6 @@ class EventQueue
         }
     };
 
-#ifdef PEISIM_REFERENCE_QUEUE
-    std::vector<Event> events; ///< binary heap ordered by Later
-#else
     static constexpr std::uint32_t ring_mask = ring_ticks - 1;
     static constexpr unsigned ring_words = ring_ticks / 64;
     static constexpr std::uint32_t nil = ~std::uint32_t{0};
@@ -432,7 +388,6 @@ class EventQueue
     std::vector<std::uint32_t> ring_next; ///< per arena slot: next in bucket
     std::size_t ring_count = 0;           ///< events in the ring
     std::vector<Event> overflow; ///< heap of events >= ring_ticks ahead
-#endif
     Tick cur_tick = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t executed_count = 0;

@@ -210,6 +210,10 @@ TEST(FuzzReplay, FileRoundTrips)
 
     EXPECT_FALSE(parseReplayFile("no key-values here", id2, opt2));
     EXPECT_FALSE(parseReplayFile("config=1\n", id2, opt2)); // no seed
+    // Reproducers from the retired sharded engine carry a shards= key;
+    // replaying one on the single-queue engine would not reproduce it.
+    EXPECT_FALSE(parseReplayFile(
+        "shards=4\n" + replayFileContents(id, opt), id2, opt2));
 }
 
 // The deterministic smoke: 100 cases x 4 fuzzed configs x 4 modes,

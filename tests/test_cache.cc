@@ -25,7 +25,7 @@ struct CacheFixture : public ::testing::Test
     {
         hmc_cfg.num_cubes = 1;
         hmc_cfg.vaults_per_cube = 4;
-        hmc = std::make_unique<HmcBackend>(sq, hmc_cfg, stats);
+        hmc = std::make_unique<HmcBackend>(eq, hmc_cfg, stats);
 
         cache_cfg.l1_bytes = 1 << 10;
         cache_cfg.l1_ways = 2;
@@ -58,8 +58,7 @@ struct CacheFixture : public ::testing::Test
     }
 
     StatRegistry stats;
-    ShardedQueue sq; // single shard: the sequential engine
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     HmcConfig hmc_cfg;
     CacheConfig cache_cfg;
     std::unique_ptr<HmcBackend> hmc;
@@ -210,16 +209,16 @@ TEST_F(CacheFixture, MshrSlotsAreReusedWithoutStaleWaiters)
 TEST(CacheDeathTest, ZeroEntryMshrFileIsFatal)
 {
     StatRegistry stats;
-    ShardedQueue sq;
+    EventQueue eq;
     HmcConfig hmc_cfg;
-    HmcBackend hmc(sq, hmc_cfg, stats);
+    HmcBackend hmc(eq, hmc_cfg, stats);
     CacheConfig cfg;
     cfg.core_mshrs = 0;
-    EXPECT_DEATH(CacheHierarchy(sq.host(), cfg, 1, hmc, stats),
+    EXPECT_DEATH(CacheHierarchy(eq, cfg, 1, hmc, stats),
                  "MSHR files need at least one entry");
     cfg.core_mshrs = 16;
     cfg.l3_mshrs = 0;
-    EXPECT_DEATH(CacheHierarchy(sq.host(), cfg, 1, hmc, stats),
+    EXPECT_DEATH(CacheHierarchy(eq, cfg, 1, hmc, stats),
                  "MSHR files need at least one entry");
 }
 
@@ -328,12 +327,11 @@ TEST_P(CacheGeometry, RandomTrafficKeepsInvariants)
 {
     const auto [ways, cores] = GetParam();
     StatRegistry stats;
-    ShardedQueue sq;
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     HmcConfig hmc_cfg;
     hmc_cfg.num_cubes = 1;
     hmc_cfg.vaults_per_cube = 4;
-    HmcBackend hmc(sq, hmc_cfg, stats);
+    HmcBackend hmc(eq, hmc_cfg, stats);
     CacheConfig cfg;
     cfg.l1_bytes = 2 << 10;
     cfg.l1_ways = ways;
@@ -366,12 +364,11 @@ TEST_P(CacheGeometry, TinyMshrFilesFireEveryCallbackOnce)
     // sharer vectors and park behind L3 misses.
     const auto [ways, cores] = GetParam();
     StatRegistry stats;
-    ShardedQueue sq;
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     HmcConfig hmc_cfg;
     hmc_cfg.num_cubes = 1;
     hmc_cfg.vaults_per_cube = 4;
-    HmcBackend hmc(sq, hmc_cfg, stats);
+    HmcBackend hmc(eq, hmc_cfg, stats);
     CacheConfig cfg;
     cfg.l1_bytes = 2 << 10;
     cfg.l1_ways = ways;

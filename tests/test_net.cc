@@ -169,19 +169,17 @@ struct ShardOutcome
 
 /**
  * A deterministic PEI-heavy workload (random inc64 bursts with a
- * pfence between bursts) on @p pmu_shards PMU banks and @p shards
- * event-queue shards; returns the architectural result plus the
- * cross-bank counter totals.
+ * pfence between bursts) on @p pmu_shards PMU banks; returns the
+ * architectural result plus the cross-bank counter totals.
  */
 ShardOutcome
-runSharded(unsigned pmu_shards, unsigned shards)
+runBanked(unsigned pmu_shards)
 {
     SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
     cfg.cores = 4;
     cfg.phys_bytes = 64ULL << 20;
     cfg.hmc.vaults_per_cube = 4;
     cfg.pim.pmu_shards = pmu_shards;
-    cfg.shards = shards;
     System sys(cfg);
     Runtime rt(sys);
     const unsigned n = 1 << 10;
@@ -198,8 +196,7 @@ runSharded(unsigned pmu_shards, unsigned shards)
     rt.run();
 
     EXPECT_TRUE(sys.stats().audit().empty())
-        << "stats audit failed at pmu_shards=" << pmu_shards
-        << " shards=" << shards;
+        << "stats audit failed at pmu_shards=" << pmu_shards;
 
     ShardOutcome out;
     out.array.resize(n);
@@ -216,11 +213,11 @@ runSharded(unsigned pmu_shards, unsigned shards)
 
 TEST(PmuSharding, BanksPreserveArchitecturalResults)
 {
-    const ShardOutcome base = runSharded(1, 1);
+    const ShardOutcome base = runBanked(1);
     EXPECT_EQ(base.peis, 4u * 4u * 400u);
     EXPECT_EQ(base.acquires, base.releases);
     for (const unsigned banks : {2u, 4u}) {
-        const ShardOutcome sharded = runSharded(banks, 1);
+        const ShardOutcome sharded = runBanked(banks);
         EXPECT_EQ(sharded.array, base.array) << banks << " banks";
         EXPECT_EQ(sharded.peis, base.peis) << banks << " banks";
         // Partitioning moves lookups/acquires between banks but must
@@ -229,15 +226,6 @@ TEST(PmuSharding, BanksPreserveArchitecturalResults)
         EXPECT_EQ(sharded.releases, base.releases) << banks << " banks";
         EXPECT_EQ(sharded.lookups, base.lookups) << banks << " banks";
     }
-}
-
-TEST(PmuSharding, BanksComposeWithShardedEngine)
-{
-    const ShardOutcome base = runSharded(1, 1);
-    const ShardOutcome sharded = runSharded(4, 4);
-    EXPECT_EQ(sharded.array, base.array);
-    EXPECT_EQ(sharded.peis, base.peis);
-    EXPECT_EQ(sharded.acquires, sharded.releases);
 }
 
 TEST(PmuSharding, ShardedStatsUseBankPrefixes)

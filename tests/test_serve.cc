@@ -3,9 +3,8 @@
  * Serving-layer tests: traffic-generator statistics and determinism,
  * bounded multi-tenant queue policies (FIFO order, weighted-fair
  * shares, shed-on-overflow), and end-to-end Server runs — identical
- * request traces and summaries across repeat runs and `--shards`
- * values, plus shed/conservation accounting and closed-loop
- * completion.
+ * request traces and summaries across repeat runs, plus
+ * shed/conservation accounting and closed-loop completion.
  */
 
 #include <gtest/gtest.h>
@@ -295,21 +294,23 @@ TEST(Server, RepeatRunsAreBitIdentical)
 TEST(Server, ShardsOneMatchesSequentialAndShardsFourIsStable)
 {
     const ServeConfig scfg = serveCfg(TrafficMode::OpenPoisson, 400.0, 96);
-    // shards == 1 runs the classic sequential engine: byte-identical.
-    const ServeRun seq = runServe(scfg, 1);
+    // A System runs on one event queue.  Setting shards = 1 explicitly
+    // (the only accepted value) serves byte-identically to a default
+    // config.
+    System seq_sys(fixture::smallConfig());
+    Runtime rt(seq_sys);
+    Server server(seq_sys, scfg);
+    server.setup(rt);
+    server.start(rt);
+    rt.run();
     const ServeRun s1 = runServe(scfg, 1);
-    EXPECT_EQ(seq.trace, s1.trace);
-    EXPECT_EQ(seq.summary_json, s1.summary_json);
+    EXPECT_EQ(server.requestTrace(), s1.trace);
+    EXPECT_EQ(server.summaryJson(), s1.summary_json);
 
-    // shards == 4 may clamp cross-shard timing, but must be
-    // deterministic run to run and serve the same request population.
-    const ServeRun s4a = runServe(scfg, 4);
-    const ServeRun s4b = runServe(scfg, 4);
-    EXPECT_EQ(s4a.trace, s4b.trace);
-    EXPECT_EQ(s4a.summary_json, s4b.summary_json);
-    EXPECT_EQ(s4a.summary.arrivals, seq.summary.arrivals);
-    EXPECT_EQ(s4a.summary.completed, seq.summary.completed);
-    EXPECT_EQ(s4a.summary.shed, seq.summary.shed);
+    // Any other shard count is refused before a request is served, on
+    // every attempt.
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_DEATH(runServe(scfg, 4), "one event queue");
 }
 
 TEST(Server, OverloadShedsAndStaysBounded)

@@ -130,6 +130,15 @@ TEST(SystemProperties, PeiLatencyHistogramsAndRunRecord)
         EXPECT_NE(rec.find(field), std::string::npos) << field;
 }
 
+TEST(SystemDeathTest, ShardsOtherThanOneIsFatal)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.shards = 4;
+    EXPECT_DEATH({ System sys(cfg); }, "one event queue");
+    cfg.shards = 0;
+    EXPECT_DEATH({ System sys(cfg); }, "one event queue");
+}
+
 TEST(SystemProperties, FullyDeterministic)
 {
     for (ExecMode mode : {ExecMode::HostOnly, ExecMode::PimOnly,
