@@ -20,7 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -72,15 +71,11 @@ pointJson(const char *workload, const char *mode, const char *policy,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig07_coherence");
-
-    std::string coherence_json = PEISIM_ROOT "/BENCH_coherence.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--coherence-json") == 0 && i + 1 < argc)
-            coherence_json = argv[++i];
-        else if (std::strncmp(argv[i], "--coherence-json=", 17) == 0)
-            coherence_json = argv[i] + 17;
-    }
+    peibench::benchInit(argc, argv, "fig07_coherence",
+                        {{"--coherence-json", true}});
+    const std::string coherence_json =
+        flagValue(argc, argv, "--coherence-json")
+            .value_or(PEISIM_ROOT "/BENCH_coherence.json");
 
     peibench::printHeader(
         "Figure 7b", "Off-chip coherence flits, eager vs. lazy "

@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,8 @@ using peibench::submitWorkload;
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig08_input_sweep");
+    peibench::benchInit(argc, argv, "fig08_input_sweep",
+                        {{"--backend-sweep", false}});
     peibench::printHeader(
         "Figure 8", "PageRank with different graph sizes",
         "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "
@@ -35,11 +35,7 @@ main(int argc, char **argv)
     // --backend-sweep adds a memory-backend axis: Locality-Aware
     // re-run per graph on every alternative backend.  Opt-in so the
     // default figure (and its --list labels) stay unchanged.
-    bool backend_sweep = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--backend-sweep") == 0)
-            backend_sweep = true;
-    }
+    const bool backend_sweep = hasFlag(argc, argv, "--backend-sweep");
     static const char *const kAltBackends[] = {"ddr", "ideal"};
 
     struct Row

@@ -18,7 +18,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -124,15 +124,11 @@ jsonNumber(const std::string &json, const std::string &key)
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig13_serving");
-
-    std::string serving_json = PEISIM_ROOT "/BENCH_serving.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--serving-json") == 0 && i + 1 < argc)
-            serving_json = argv[++i];
-        else if (std::strncmp(argv[i], "--serving-json=", 15) == 0)
-            serving_json = argv[i] + 15;
-    }
+    peibench::benchInit(argc, argv, "fig13_serving",
+                        {{"--serving-json", true}});
+    const std::string serving_json =
+        flagValue(argc, argv, "--serving-json")
+            .value_or(PEISIM_ROOT "/BENCH_serving.json");
 
     peibench::printHeader(
         "Figure 13", "Serving saturation sweep (offered load vs tail "

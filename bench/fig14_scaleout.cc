@@ -137,15 +137,11 @@ pointJson(const char *topo, unsigned cubes, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig14_scaleout");
-
-    std::string scaleout_json = PEISIM_ROOT "/BENCH_scaleout.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scaleout-json") == 0 && i + 1 < argc)
-            scaleout_json = argv[++i];
-        else if (std::strncmp(argv[i], "--scaleout-json=", 16) == 0)
-            scaleout_json = argv[i] + 16;
-    }
+    peibench::benchInit(argc, argv, "fig14_scaleout",
+                        {{"--scaleout-json", true}});
+    const std::string scaleout_json =
+        flagValue(argc, argv, "--scaleout-json")
+            .value_or(PEISIM_ROOT "/BENCH_scaleout.json");
 
     std::printf("==================================================="
                 "===========================\n");

@@ -111,15 +111,11 @@ pointJson(unsigned batch, unsigned qd, const RunResult &r,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig15_batching");
-
-    std::string batching_json = PEISIM_ROOT "/BENCH_batching.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batching-json") == 0 && i + 1 < argc)
-            batching_json = argv[++i];
-        else if (std::strncmp(argv[i], "--batching-json=", 16) == 0)
-            batching_json = argv[i] + 16;
-    }
+    peibench::benchInit(argc, argv, "fig15_batching",
+                        {{"--batching-json", true}});
+    const std::string batching_json =
+        flagValue(argc, argv, "--batching-json")
+            .value_or(PEISIM_ROOT "/BENCH_batching.json");
 
     std::printf("==================================================="
                 "===========================\n");

@@ -35,11 +35,14 @@ using namespace pei;
 using RunHandle = std::size_t;
 
 /**
- * Parse harness-level flags (`--stats-json`, `--jobs`, `--timeout-s`,
- * `--filter`, `--list`, `--no-progress`), name the bench, and
- * register the atexit stats flush.  Call first thing in main().
+ * Parse harness-level flags (`--stats-json` and the sweep flags of
+ * driver/options.hh), name the bench, and register the atexit stats
+ * flush.  Call first thing in main().  @p own lists the bench's own
+ * flags, read afterwards with flagValue() / hasFlag(); any argument
+ * that is neither is fatal.
  */
-void benchInit(int argc, char **argv, const std::string &name);
+void benchInit(int argc, char **argv, const std::string &name,
+               std::vector<FlagSpec> own = {});
 
 /**
  * Queue one Table 3 workload run, labelled "<kind>/<size>/<mode>".

@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -76,30 +75,6 @@ usage(const char *argv0)
         "  --replay-file FILE   replay a written reproducer\n"
         "  --jobs N / --timeout-s S / --no-progress  (sweep driver)\n",
         argv0);
-}
-
-/** --flag value / --flag=value accessor over argv. */
-std::optional<std::string>
-flagValue(int argc, char **argv, const char *name)
-{
-    const std::size_t len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0 && i + 1 < argc)
-            return std::string(argv[i + 1]);
-        if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-            return std::string(argv[i] + len + 1);
-    }
-    return std::nullopt;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
 }
 
 std::uint64_t
@@ -164,7 +139,20 @@ main(int argc, char **argv)
         return 0;
     }
 
-    SweepOptions sopt = sweepOptionsFromArgs(argc, argv);
+    // The pins shared with the sweep flags (--mem-backend and on) are
+    // parsed twice: by the sweep options and into FuzzOptions below.
+    SweepOptions sopt = sweepOptionsFromArgs(
+        argc, argv,
+        {{"--cases", true}, {"--master-seed", true}, {"--configs", true},
+         {"--probe-every", true}, {"--inject-bug", true},
+         {"--no-shrink", false}, {"--max-failures", true},
+         {"--failure-dir", true}, {"--replay-file", true},
+         {"--replay-seed", true}, {"--replay-config", true},
+         {"--replay-prefix", true}, {"--replay-mask", true},
+         {"--replay-backend", true}, {"--replay-coherence", true},
+         {"--replay-topology", true}, {"--replay-cubes", true},
+         {"--replay-pmu-shards", true}, {"--replay-batch", true},
+         {"--replay-queue-depth", true}});
 
     FuzzOptions fopt;
     std::uint64_t cases = 200;

@@ -9,6 +9,7 @@
 #ifndef PEISIM_COMMON_RNG_HH
 #define PEISIM_COMMON_RNG_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -40,14 +41,40 @@ class Rng
     next()
     {
         const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-        const std::uint64_t t = state[1] << 17;
-        state[2] ^= state[0];
-        state[3] ^= state[1];
-        state[1] ^= state[2];
-        state[0] ^= state[3];
-        state[2] ^= t;
-        state[3] = rotl(state[3], 45);
+        step(state);
         return result;
+    }
+
+    /**
+     * Advance by exactly @p n draws, as n calls of next() would, in
+     * O(log n).  The state update is linear over GF(2), so n draws
+     * are the 256x256 step matrix raised to the n-th power, applied
+     * by square-and-multiply.  Lets independent host threads each
+     * start at their own offset of one seeded stream.
+     */
+    void
+    discard(std::uint64_t n)
+    {
+        // Column j of a matrix is the image of the state with only
+        // bit j set; the step matrix's columns are one step() each.
+        using Matrix = std::vector<State>;
+        Matrix power(256);
+        for (unsigned j = 0; j < 256; ++j) {
+            power[j] = State{};
+            power[j][j / 64] = std::uint64_t{1} << (j % 64);
+            step(power[j]);
+        }
+        Matrix square(256);
+        while (n) {
+            if (n & 1)
+                state = apply(power, state);
+            n >>= 1;
+            if (n) {
+                for (unsigned j = 0; j < 256; ++j)
+                    square[j] = apply(power, power[j]);
+                power.swap(square);
+            }
+        }
     }
 
     /** Uniform integer in [0, bound) via Lemire's method. */
@@ -83,13 +110,41 @@ class Rng
     }
 
   private:
+    using State = std::array<std::uint64_t, 4>;
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
     }
 
-    std::uint64_t state[4];
+    /** One xoshiro256 state transition (linear over GF(2)). */
+    static void
+    step(State &s)
+    {
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+    }
+
+    /** GF(2) product of the column matrix @p m with @p v. */
+    static State
+    apply(const std::vector<State> &m, const State &v)
+    {
+        State out{};
+        for (unsigned j = 0; j < 256; ++j) {
+            const std::uint64_t take = 0 - ((v[j / 64] >> (j % 64)) & 1);
+            for (unsigned w = 0; w < 4; ++w)
+                out[w] ^= m[j][w] & take;
+        }
+        return out;
+    }
+
+    State state;
 };
 
 /**

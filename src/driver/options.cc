@@ -23,7 +23,7 @@ namespace
  * "--flag=v") and advance @p i past consumed arguments.
  */
 bool
-flagValue(int argc, char **argv, int &i, const char *flag,
+matchFlag(int argc, char **argv, int &i, const char *flag,
           std::string &value)
 {
     const std::size_t len = std::strlen(flag);
@@ -42,28 +42,36 @@ flagValue(int argc, char **argv, int &i, const char *flag,
 } // namespace
 
 SweepOptions
-sweepOptionsFromArgs(int argc, char **argv)
+sweepOptionsFromArgs(int argc, char **argv, const std::vector<FlagSpec> &own)
 {
     SweepOptions opts;
     for (int i = 1; i < argc; ++i) {
         std::string value;
-        if (flagValue(argc, argv, i, "--jobs", value)) {
+        const auto owned = std::find_if(
+            own.begin(), own.end(), [&](const FlagSpec &f) {
+                return f.takes_value
+                           ? matchFlag(argc, argv, i, f.name, value)
+                           : std::strcmp(argv[i], f.name) == 0;
+            });
+        if (owned != own.end())
+            continue;
+        if (matchFlag(argc, argv, i, "--jobs", value)) {
             char *end = nullptr;
             const long n = std::strtol(value.c_str(), &end, 10);
             fatal_if(!end || *end != '\0' || n < 1,
                      "--jobs wants a positive integer, got '%s'",
                      value.c_str());
             opts.jobs = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--timeout-s", value)) {
+        } else if (matchFlag(argc, argv, i, "--timeout-s", value)) {
             char *end = nullptr;
             const double s = std::strtod(value.c_str(), &end);
             fatal_if(!end || *end != '\0' || s <= 0.0,
                      "--timeout-s wants a positive number, got '%s'",
                      value.c_str());
             opts.timeout_s = s;
-        } else if (flagValue(argc, argv, i, "--filter", value)) {
+        } else if (matchFlag(argc, argv, i, "--filter", value)) {
             opts.filter = value;
-        } else if (flagValue(argc, argv, i, "--mem-backend", value)) {
+        } else if (matchFlag(argc, argv, i, "--mem-backend", value)) {
             const auto names = memoryBackendNames();
             if (std::find(names.begin(), names.end(), value) ==
                 names.end()) {
@@ -74,7 +82,7 @@ sweepOptionsFromArgs(int argc, char **argv)
                       value.c_str(), known.c_str());
             }
             opts.mem_backend = value;
-        } else if (flagValue(argc, argv, i, "--coherence", value)) {
+        } else if (matchFlag(argc, argv, i, "--coherence", value)) {
             const auto names = coherencePolicyNames();
             if (std::find(names.begin(), names.end(), value) ==
                 names.end()) {
@@ -85,7 +93,7 @@ sweepOptionsFromArgs(int argc, char **argv)
                       value.c_str(), known.c_str());
             }
             opts.coherence = value;
-        } else if (flagValue(argc, argv, i, "--topology", value)) {
+        } else if (matchFlag(argc, argv, i, "--topology", value)) {
             Topology t;
             if (!parseTopology(value, t)) {
                 std::string known;
@@ -95,7 +103,7 @@ sweepOptionsFromArgs(int argc, char **argv)
                       value.c_str(), known.c_str());
             }
             opts.topology = value;
-        } else if (flagValue(argc, argv, i, "--cubes", value)) {
+        } else if (matchFlag(argc, argv, i, "--cubes", value)) {
             char *end = nullptr;
             const long n = std::strtol(value.c_str(), &end, 10);
             fatal_if(!end || *end != '\0' || n < 1 ||
@@ -103,7 +111,7 @@ sweepOptionsFromArgs(int argc, char **argv)
                      "--cubes wants a positive power of two, got '%s'",
                      value.c_str());
             opts.cubes = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--pmu-shards", value)) {
+        } else if (matchFlag(argc, argv, i, "--pmu-shards", value)) {
             char *end = nullptr;
             const long n = std::strtol(value.c_str(), &end, 10);
             fatal_if(!end || *end != '\0' || n < 1 ||
@@ -112,14 +120,14 @@ sweepOptionsFromArgs(int argc, char **argv)
                      "got '%s'",
                      value.c_str());
             opts.pmu_shards = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--pei-batch", value)) {
+        } else if (matchFlag(argc, argv, i, "--pei-batch", value)) {
             char *end = nullptr;
             const long n = std::strtol(value.c_str(), &end, 10);
             fatal_if(!end || *end != '\0' || n < 1 || n > 64,
                      "--pei-batch wants an integer in [1, 64], got '%s'",
                      value.c_str());
             opts.pei_batch = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--batch-window-ticks",
+        } else if (matchFlag(argc, argv, i, "--batch-window-ticks",
                              value)) {
             char *end = nullptr;
             const long long n = std::strtoll(value.c_str(), &end, 10);
@@ -128,7 +136,7 @@ sweepOptionsFromArgs(int argc, char **argv)
                      "got '%s'",
                      value.c_str());
             opts.batch_window_ticks = static_cast<std::uint64_t>(n);
-        } else if (flagValue(argc, argv, i, "--queue-depth", value)) {
+        } else if (matchFlag(argc, argv, i, "--queue-depth", value)) {
             char *end = nullptr;
             const long n = std::strtol(value.c_str(), &end, 10);
             fatal_if(!end || *end != '\0' || n < 0,
@@ -140,9 +148,32 @@ sweepOptionsFromArgs(int argc, char **argv)
             opts.list = true;
         } else if (std::strcmp(argv[i], "--no-progress") == 0) {
             opts.progress = false;
+        } else {
+            fatal("unknown flag '%s'", argv[i]);
         }
     }
     return opts;
+}
+
+std::optional<std::string>
+flagValue(int argc, char **argv, const char *name)
+{
+    std::string value;
+    for (int i = 1; i < argc; ++i) {
+        if (matchFlag(argc, argv, i, name, value))
+            return value;
+    }
+    return std::nullopt;
+}
+
+bool
+hasFlag(int argc, char **argv, const char *name)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], name) == 0)
+            return true;
+    }
+    return false;
 }
 
 unsigned

@@ -16,15 +16,19 @@
  *   --batch-window-ticks T  max ticks a non-full window waits
  *   --queue-depth N vault-PCU issue-queue depth (0 = unqueued)
  *
- * Both "--flag value" and "--flag=value" spellings are accepted;
- * flags the sweep does not own (e.g. --stats-json) are ignored.
+ * Both "--flag value" and "--flag=value" spellings are accepted.  A
+ * binary names the flags it owns on top of these (e.g. --stats-json);
+ * any other argument is fatal, so a misspelt flag never runs a
+ * silently different sweep.
  */
 
 #ifndef PEISIM_DRIVER_OPTIONS_HH
 #define PEISIM_DRIVER_OPTIONS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace pei
 {
@@ -54,8 +58,28 @@ struct SweepOptions
     bool progress = true;
 };
 
-/** Parse the sweep flags out of @p argv (fatal on malformed value). */
-SweepOptions sweepOptionsFromArgs(int argc, char **argv);
+/** A flag a binary owns on top of the sweep flags. */
+struct FlagSpec
+{
+    const char *name; ///< e.g. "--stats-json"
+    bool takes_value; ///< "--name v" / "--name=v" rather than bare
+};
+
+/**
+ * Parse the sweep flags out of @p argv.  Flags in @p own are left for
+ * the caller to read with flagValue() / hasFlag().  Fatal, naming the
+ * argument, on a malformed value, a missing value or any argument
+ * that is neither a sweep flag nor in @p own.
+ */
+SweepOptions sweepOptionsFromArgs(int argc, char **argv,
+                                  const std::vector<FlagSpec> &own = {});
+
+/** Value of --@p name in @p argv, either spelling; nullopt if absent. */
+std::optional<std::string> flagValue(int argc, char **argv,
+                                     const char *name);
+
+/** True when the bare flag @p name appears in @p argv. */
+bool hasFlag(int argc, char **argv, const char *name);
 
 /** Worker count @p opts asks for (resolves 0 to the host's cores). */
 unsigned resolveWorkerCount(const SweepOptions &opts);

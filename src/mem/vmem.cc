@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hh"
+
 namespace pei
 {
 
@@ -84,22 +86,90 @@ VirtualMemory::writeBytes(Addr vaddr, const void *src, std::uint64_t size)
     }
 }
 
+Tlb::Tlb(unsigned entries, Ticks walk_latency)
+    : vpns(entries), prev(entries + 1), next(entries + 1),
+      walk_latency(walk_latency)
+{
+    fatal_if(entries == 0, "a TLB needs at least one entry");
+    // At most half the slots are taken, so probe runs stay short.
+    const unsigned bits = ceilLog2(2 * std::uint64_t{entries});
+    index.assign(std::size_t{1} << bits, none);
+    index_shift = 64 - bits;
+    prev[entries] = next[entries] = entries;
+}
+
+std::size_t
+Tlb::freeSlot(Addr page) const
+{
+    std::size_t slot = home(page);
+    while (index[slot] != none)
+        slot = (slot + 1) & (index.size() - 1);
+    return slot;
+}
+
+void
+Tlb::unindex(Addr page)
+{
+    const std::size_t mask = index.size() - 1;
+    std::size_t hole = home(page);
+    while (vpns[index[hole]] != page)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later member of the probe
+    // run into the hole when the hole lies between its home and it.
+    for (std::size_t s = (hole + 1) & mask; index[s] != none;
+         s = (s + 1) & mask) {
+        if (((s - home(vpns[index[s]])) & mask) >= ((s - hole) & mask)) {
+            index[hole] = index[s];
+            hole = s;
+        }
+    }
+    index[hole] = none;
+}
+
+void
+Tlb::unlink(std::uint32_t e)
+{
+    next[prev[e]] = next[e];
+    prev[next[e]] = prev[e];
+}
+
+void
+Tlb::pushMru(std::uint32_t e)
+{
+    const std::uint32_t head = static_cast<std::uint32_t>(vpns.size());
+    prev[e] = head;
+    next[e] = next[head];
+    prev[next[head]] = e;
+    next[head] = e;
+}
+
 Ticks
 Tlb::access(Addr vaddr)
 {
     const Addr page = VirtualMemory::vpn(vaddr);
-    ++tick;
-    if (const auto it = std::find(vpns.begin(), vpns.end(), page);
-        it != vpns.end()) {
-        stamps[it - vpns.begin()] = tick;
-        ++hit_count;
-        return 0;
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t slot = home(page); index[slot] != none;
+         slot = (slot + 1) & mask) {
+        const std::uint32_t e = index[slot];
+        if (vpns[e] == page) {
+            unlink(e);
+            pushMru(e);
+            ++hit_count;
+            return 0;
+        }
     }
     ++miss_count;
-    const std::size_t victim =
-        std::min_element(stamps.begin(), stamps.end()) - stamps.begin();
+    std::uint32_t victim;
+    if (used < vpns.size()) {
+        victim = used++;
+    } else {
+        victim = prev[vpns.size()]; // the list's tail
+        unlink(victim);
+        unindex(vpns[victim]);
+    }
     vpns[victim] = page;
-    stamps[victim] = tick;
+    index[freeSlot(page)] = victim;
+    pushMru(victim);
     return walk_latency;
 }
 

@@ -193,20 +193,16 @@ class VirtualMemory
  * penalty on miss.  Returns the access latency contribution of
  * translation for a memory operation or PEI issue.
  *
- * Shaped like the hardware: a fixed file of `entries` tags matched
- * linearly, each with a last-use stamp.  Stamps are unique and free
- * entries hold stamp 0, so the minimum-stamp victim is a free entry
- * while one remains and the least-recently-used page after that.
+ * Shaped like the hardware: a fixed file of `entries` tags.  A small
+ * open-addressed vpn index stands in for the CAM's match lines, and
+ * an intrusive list keeps the entries in recency order.  Free entries
+ * fill first; once none is left, a miss replaces the least recently
+ * used page.  Both are O(1) per access.
  */
 class Tlb
 {
   public:
-    Tlb(unsigned entries, Ticks walk_latency)
-        : vpns(entries, invalid_vpn), stamps(entries, 0),
-          walk_latency(walk_latency)
-    {
-        fatal_if(entries == 0, "a TLB needs at least one entry");
-    }
+    Tlb(unsigned entries, Ticks walk_latency);
 
     /**
      * Look up @p vaddr; updates LRU state and miss counters.
@@ -218,15 +214,34 @@ class Tlb
     std::uint64_t misses() const { return miss_count; }
 
   private:
-    /** Tag of a free entry; no vaddr >> page_shift reaches it. */
-    static constexpr Addr invalid_vpn = ~Addr{0};
+    /** An empty index slot. */
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
 
-    std::vector<Addr> vpns;            ///< entry -> cached vpn
-    std::vector<std::uint64_t> stamps; ///< entry -> last use (0 = free)
+    /** Home slot of @p page in the index (Fibonacci hashing). */
+    std::size_t
+    home(Addr page) const
+    {
+        return (page * 0x9E3779B97F4A7C15ULL) >> index_shift;
+    }
+
+    /** First empty slot on @p page's probe run. */
+    std::size_t freeSlot(Addr page) const;
+
+    /** Drop @p page from the index, closing the gap it leaves. */
+    void unindex(Addr page);
+
+    void unlink(std::uint32_t e);
+    void pushMru(std::uint32_t e);
+
+    std::vector<Addr> vpns;           ///< entry -> cached vpn
+    std::vector<std::uint32_t> index; ///< slot -> entry (or none)
+    unsigned index_shift;
+    /** Recency list, most recent first; [entries] is its head. */
+    std::vector<std::uint32_t> prev, next;
+    std::uint32_t used = 0; ///< entries filled so far
     Ticks walk_latency;
     std::uint64_t hit_count = 0;
     std::uint64_t miss_count = 0;
-    std::uint64_t tick = 0;
 };
 
 } // namespace pei

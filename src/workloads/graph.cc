@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <system_error>
+#include <thread>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -9,52 +11,154 @@
 namespace pei
 {
 
+namespace
+{
+
+// Base parameters with per-edge multiplicative noise (the standard
+// "noisy SKG" smoothing): without it, R-MAT piles an unrealistically
+// large share of all edges onto a handful of apex vertices (real
+// social graphs' max in-degree is a fraction of a percent of the
+// edges), which would turn PEI atomicity into an artificial
+// serialization bottleneck.
+constexpr double base_a = 0.57, base_b = 0.19, base_c = 0.19;
+// b and c share a base, so b / total is also c / total, bit for bit.
+static_assert(base_b == base_c, "the descent reuses b for c");
+
+/**
+ * Inputs with fewer edges run the sequential loop alone: below this,
+ * a thread start and a jump-ahead cost more than the draws they
+ * split.  A parallel run also finishes its last, smaller remainder
+ * here.
+ */
+constexpr std::uint64_t parallel_min_edges = 65536;
+
+/** Host threads one generation may use at most. */
+constexpr unsigned max_workers = 8;
+
+using Edge = std::pair<std::uint32_t, std::uint32_t>;
+
+/**
+ * Draw one candidate edge: exactly 2 * levels draws, whether or not
+ * it is kept.  Returns false for an out-of-range end or a self-loop.
+ */
+inline bool
+rmatCandidate(Rng &rng, unsigned levels, std::uint64_t vertices, Edge &out)
+{
+    std::uint64_t src = 0, dst = 0;
+    for (unsigned l = 0; l < levels; ++l) {
+        const double noise = 0.75 + 0.5 * rng.uniform();
+        const double a0 = base_a * noise;
+        const double total = a0 + base_b + base_c +
+                             (1.0 - base_a - base_b - base_c);
+        const double a = a0 / total;
+        const double b = base_b / total;
+        const double u = rng.uniform();
+        // Quadrant choice without branches.  The thresholds a, a + b,
+        // a + b + c rise monotonically, so (ge_a, ge_ab, ge_abc)
+        // reads 000 top-left, 100 top-right, 110 bottom-left and 111
+        // bottom-right: src takes ge_ab, dst the parity of all three.
+        const unsigned ge_a = !(u < a);
+        const unsigned ge_ab = !(u < a + b);
+        const unsigned ge_abc = !(u < a + b + b);
+        src = (src << 1) | ge_ab;
+        dst = (dst << 1) | (ge_a ^ ge_ab ^ ge_abc);
+    }
+    if (src >= vertices || dst >= vertices || src == dst)
+        return false;
+    out = {static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst)};
+    return true;
+}
+
+/**
+ * Fill el.edges with the first @p edges kept candidates of the stream
+ * seeded by @p seed, on up to @p workers host threads, and return the
+ * generator positioned just after the candidate that gave the last
+ * kept edge.  The result does not depend on @p workers.
+ *
+ * Each wave takes as many candidates as edges are still missing, so it
+ * never overshoots.  Worker t jumps to its first candidate, draws one
+ * contiguous range and writes the edges it keeps in place, at the
+ * start of that range's slots; one ordered pass then moves them down
+ * behind the edges already kept.
+ */
+Rng
+rmatEdges(EdgeList &el, unsigned levels, std::uint64_t edges,
+          std::uint64_t seed, unsigned workers)
+{
+    const std::uint64_t vertices = el.num_vertices;
+    Rng rng(seed);
+    if (workers < 2 || edges < parallel_min_edges) {
+        el.edges.reserve(edges);
+        Edge e;
+        while (el.edges.size() < edges) {
+            if (rmatCandidate(rng, levels, vertices, e))
+                el.edges.push_back(e);
+        }
+        return rng;
+    }
+
+    el.edges.resize(edges);
+    Edge *const out = el.edges.data();
+    std::uint64_t kept = 0, drawn = 0; // edges kept, candidates drawn
+    std::vector<std::uint64_t> first(workers + 1), got(workers);
+    while (edges - kept >= parallel_min_edges) {
+        const std::uint64_t base = kept, wave = edges - kept;
+        for (unsigned t = 0; t <= workers; ++t)
+            first[t] = wave * t / workers;
+        auto run = [&](unsigned t) {
+            Rng r = rng; // every worker jumps from the seed's state
+            r.discard(2ULL * levels * (drawn + first[t]));
+            Edge *dst = out + base + first[t];
+            std::uint64_t n = 0;
+            for (std::uint64_t c = first[t]; c < first[t + 1]; ++c)
+                n += rmatCandidate(r, levels, vertices, dst[n]);
+            got[t] = n;
+        };
+        std::vector<std::thread> threads;
+        threads.reserve(workers - 1);
+        for (unsigned t = 1; t < workers; ++t) {
+            try {
+                threads.emplace_back(run, t);
+            } catch (const std::system_error &) {
+                run(t); // no thread to be had: draw the range here
+            }
+        }
+        run(0);
+        for (auto &th : threads)
+            th.join();
+        for (unsigned t = 0; t < workers; ++t) {
+            std::copy_n(out + base + first[t], got[t], out + kept);
+            kept += got[t];
+        }
+        drawn += wave;
+    }
+
+    rng.discard(2ULL * levels * drawn);
+    while (kept < edges) {
+        if (rmatCandidate(rng, levels, vertices, out[kept]))
+            ++kept;
+    }
+    return rng;
+}
+
+} // namespace
+
 EdgeList
 genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
 {
-    fatal_if(vertices < 2, "R-MAT needs at least two vertices");
-    const unsigned levels = ceilLog2(vertices);
-    Rng rng(seed);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return detail::genRmatOnWorkers(vertices, edges, seed,
+                                    std::clamp(hw, 1u, max_workers));
+}
 
+EdgeList
+detail::genRmatOnWorkers(std::uint64_t vertices, std::uint64_t edges,
+                         std::uint64_t seed, unsigned workers)
+{
+    fatal_if(vertices < 2, "R-MAT needs at least two vertices");
     EdgeList el;
     el.num_vertices = vertices;
-    el.edges.reserve(edges);
-
-    // Base parameters with per-edge multiplicative noise (the
-    // standard "noisy SKG" smoothing): without it, R-MAT piles an
-    // unrealistically large share of all edges onto a handful of
-    // apex vertices (real social graphs' max in-degree is a fraction
-    // of a percent of the edges), which would turn PEI atomicity
-    // into an artificial serialization bottleneck.
-    constexpr double base_a = 0.57, base_b = 0.19, base_c = 0.19;
-    // b and c share a base, so b / total is also c / total, bit for bit.
-    static_assert(base_b == base_c, "the descent reuses b for c");
-    while (el.edges.size() < edges) {
-        std::uint64_t src = 0, dst = 0;
-        for (unsigned l = 0; l < levels; ++l) {
-            const double noise = 0.75 + 0.5 * rng.uniform();
-            const double a0 = base_a * noise;
-            const double total = a0 + base_b + base_c +
-                                 (1.0 - base_a - base_b - base_c);
-            const double a = a0 / total;
-            const double b = base_b / total;
-            const double u = rng.uniform();
-            // Quadrant choice without branches.  The thresholds a,
-            // a + b, a + b + c rise monotonically, so (ge_a, ge_ab,
-            // ge_abc) reads 000 top-left, 100 top-right, 110
-            // bottom-left and 111 bottom-right: src takes ge_ab, dst
-            // the parity of all three.
-            const unsigned ge_a = !(u < a);
-            const unsigned ge_ab = !(u < a + b);
-            const unsigned ge_abc = !(u < a + b + b);
-            src = (src << 1) | ge_ab;
-            dst = (dst << 1) | (ge_a ^ ge_ab ^ ge_abc);
-        }
-        if (src >= vertices || dst >= vertices || src == dst)
-            continue;
-        el.edges.emplace_back(static_cast<std::uint32_t>(src),
-                              static_cast<std::uint32_t>(dst));
-    }
+    Rng rng = rmatEdges(el, ceilLog2(vertices), edges, seed, workers);
 
     // Cap apex in-degree.  Even noisy R-MAT concentrates edges on
     // its top vertices an order of magnitude harder than real

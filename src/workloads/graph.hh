@@ -41,6 +41,19 @@ struct EdgeList
 EdgeList genRmat(std::uint64_t vertices, std::uint64_t edges,
                  std::uint64_t seed);
 
+namespace detail
+{
+
+/**
+ * genRmat() on a given number of host threads; the edge list is the
+ * same for every @p workers.  1 runs the sequential loop.  genRmat()
+ * passes the host's core count, capped; tests pass their own.
+ */
+EdgeList genRmatOnWorkers(std::uint64_t vertices, std::uint64_t edges,
+                          std::uint64_t seed, unsigned workers);
+
+} // namespace detail
+
 /** Generate a uniformly random directed graph (low skew). */
 EdgeList genUniform(std::uint64_t vertices, std::uint64_t edges,
                     std::uint64_t seed);

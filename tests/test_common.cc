@@ -112,6 +112,34 @@ TEST(Rng, UniformCoversRange)
     EXPECT_GT(hi, 0.99);
 }
 
+TEST(Rng, DiscardMatchesSequentialDraws)
+{
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{37},
+          (std::uint64_t{1} << 20) + 3}) {
+        Rng drawn(42), jumped(42);
+        for (std::uint64_t i = 0; i < n; ++i)
+            drawn.next();
+        jumped.discard(n);
+        for (int i = 0; i < 4; ++i)
+            ASSERT_EQ(jumped.next(), drawn.next()) << "n = " << n;
+    }
+
+    // Past 2^32 a sequential reference takes too long, so the jump
+    // must compose instead: 2^33 + 37 draws, whose high bit is 33,
+    // are 37 draws, two jumps using only bits 0..31 and 2 draws.
+    Rng jumped(42), composed(42);
+    jumped.discard((std::uint64_t{1} << 33) + 37);
+    for (int i = 0; i < 37; ++i)
+        composed.next();
+    composed.discard((std::uint64_t{1} << 32) - 1);
+    composed.discard((std::uint64_t{1} << 32) - 1);
+    composed.next();
+    composed.next();
+    for (int i = 0; i < 4; ++i)
+        ASSERT_EQ(jumped.next(), composed.next());
+}
+
 TEST(Zipf, SkewsTowardsHead)
 {
     ZipfSampler z(1000, 1.0, 3);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "driver/job_queue.hh"
+#include "driver/options.hh"
 #include "driver/sim_job.hh"
 #include "driver/sweep.hh"
 #include "driver/worker_pool.hh"
@@ -28,6 +29,51 @@ namespace pei
 {
 namespace
 {
+
+TEST(SweepOptions, OwnFlagsAreLeftForTheCaller)
+{
+    char a0[] = "bench", a1[] = "--stats-json", a2[] = "out.json",
+         a3[] = "--backend-sweep", a4[] = "--jobs", a5[] = "3",
+         a6[] = "--points-json=p.json", a7[] = "--no-progress";
+    char *argv[] = {a0, a1, a2, a3, a4, a5, a6, a7};
+    const SweepOptions opts = sweepOptionsFromArgs(
+        8, argv,
+        {{"--stats-json", true}, {"--backend-sweep", false},
+         {"--points-json", true}});
+    EXPECT_EQ(opts.jobs, 3u);
+    EXPECT_FALSE(opts.progress);
+    EXPECT_EQ(flagValue(8, argv, "--stats-json"), "out.json");
+    EXPECT_EQ(flagValue(8, argv, "--points-json"), "p.json");
+    EXPECT_EQ(flagValue(8, argv, "--filter"), std::nullopt);
+    EXPECT_TRUE(hasFlag(8, argv, "--backend-sweep"));
+    EXPECT_FALSE(hasFlag(8, argv, "--list"));
+}
+
+TEST(SweepOptionsDeathTest, UnknownFlagIsFatalAndNamed)
+{
+    char a0[] = "bench", a1[] = "--jobs", a2[] = "2", a3[] = "--jbos";
+    char *argv[] = {a0, a1, a2, a3};
+    EXPECT_EXIT(sweepOptionsFromArgs(4, argv),
+                ::testing::ExitedWithCode(1), "unknown flag '--jbos'");
+    // A flag the binary owns elsewhere is unknown unless it says so.
+    char b1[] = "--stats-json=x.json";
+    char *argv2[] = {a0, b1};
+    EXPECT_EXIT(sweepOptionsFromArgs(2, argv2),
+                ::testing::ExitedWithCode(1), "unknown flag '--stats-json");
+    // A bare flag takes no value.
+    char c1[] = "--list=1";
+    char *argv3[] = {a0, c1};
+    EXPECT_EXIT(sweepOptionsFromArgs(2, argv3),
+                ::testing::ExitedWithCode(1), "unknown flag '--list=1'");
+}
+
+TEST(SweepOptionsDeathTest, OwnValueFlagNeedsAValue)
+{
+    char a0[] = "bench", a1[] = "--stats-json";
+    char *argv[] = {a0, a1};
+    EXPECT_EXIT(sweepOptionsFromArgs(2, argv, {{"--stats-json", true}}),
+                ::testing::ExitedWithCode(1), "--stats-json needs a value");
+}
 
 TEST(JobQueue, FifoSingleThread)
 {

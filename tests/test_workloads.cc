@@ -268,6 +268,39 @@ TEST(InputFingerprint, RmatNonPowerOfTwoVertices)
     EXPECT_EQ(edgeListHash(genRmat(3000, 20000, 7)), 14837216242532193084ULL);
 }
 
+TEST(InputFingerprint, RmatTableThreeLarge)
+{
+    // The PR/BFS/SP/ATF large input, the repo benchmark's pagerank
+    // graph, at the default seed and the held-out one.
+    EXPECT_EQ(edgeListHash(genRmat(524288, 2621440, 1)),
+              3006822649143179563ULL);
+    EXPECT_EQ(edgeListHash(genRmat(524288, 2621440, 20151)),
+              13663119488846399839ULL);
+}
+
+TEST(RmatParallel, SameEdgesOnAnyWorkerCount)
+{
+    // All above the sequential threshold: one wave and a sequential
+    // tail (power of two), two waves (non-power-of-two), three waves
+    // where four in ten candidates are rejected (five vertices).
+    struct Input
+    {
+        std::uint64_t vertices, edges, seed, hash;
+    };
+    for (const Input &in : {Input{65536, 262144, 3, 18210091264796017325ULL},
+                            Input{2100, 300000, 7, 15615303265457798487ULL},
+                            Input{5, 400000, 2, 6226324367697925799ULL}}) {
+        for (const unsigned workers : {1u, 2u, 3u, 4u, 8u}) {
+            const EdgeList el = detail::genRmatOnWorkers(
+                in.vertices, in.edges, in.seed, workers);
+            ASSERT_EQ(el.edges.size(), in.edges);
+            EXPECT_EQ(edgeListHash(el), in.hash)
+                << in.vertices << " vertices on " << workers
+                << " worker(s)";
+        }
+    }
+}
+
 TEST(InputFingerprint, Symmetrized)
 {
     const EdgeList el = symmetrize(genRmat(3000, 20000, 7));
